@@ -34,19 +34,77 @@ constexpr auto Avalanche = Avalanche64;
 FingerprintMixer::FingerprintMixer(uint64_t seed)
     : lo_(kOffset1 ^ seed), hi_(kOffset2 ^ Avalanche(seed + 1)) {}
 
+namespace {
+
+// One absorb step of a mixer's two lanes; `mixed` is Avalanche(word).
+inline void MixLanes(uint64_t& lo, uint64_t& hi, uint64_t word,
+                     uint64_t mixed) {
+  lo = (lo ^ word) * kPrime1;
+  hi = (hi ^ mixed) * kPrime2;
+}
+
+template <class Mixer>
+void AbsorbAttrSetInto(Mixer& mixer, const AttrSet& s) {
+  mixer.Absorb(static_cast<uint64_t>(s.Size()));
+  s.ForEach([&](AttrId a) { mixer.Absorb(static_cast<uint64_t>(a)); });
+}
+
+// The word sequence a database fingerprint absorbs: schema structure,
+// target, then every relation's row count, canonical flag, and column
+// arenas.
+template <class Mixer>
+void AbsorbDatabase(Mixer& mixer, const DatabaseSchema& d,
+                    const AttrSet& target,
+                    const std::vector<Relation>& states) {
+  GYO_CHECK(static_cast<int>(states.size()) == d.NumRelations());
+  mixer.Absorb(static_cast<uint64_t>(d.NumRelations()));
+  for (int i = 0; i < d.NumRelations(); ++i) AbsorbAttrSetInto(mixer, d[i]);
+  mixer.Absorb(~uint64_t{0});
+  AbsorbAttrSetInto(mixer, target);
+  for (const Relation& r : states) {
+    mixer.Absorb(static_cast<uint64_t>(r.NumRows()));
+    mixer.Absorb(r.IsCanonical() ? 1 : 0);
+    for (int c = 0; c < r.Arity(); ++c) {
+      const Value* col = r.ColData(c);
+      for (int64_t i = 0; i < r.NumRows(); ++i) {
+        mixer.Absorb(static_cast<uint64_t>(col[i]));
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void FingerprintMixer::Absorb(uint64_t word) {
-  lo_ = (lo_ ^ word) * kPrime1;
-  hi_ = (hi_ ^ Avalanche(word)) * kPrime2;
+  MixLanes(lo_, hi_, word, Avalanche(word));
 }
 
 void FingerprintMixer::AbsorbAttrSet(const AttrSet& s) {
-  Absorb(static_cast<uint64_t>(s.Size()));
-  s.ForEach([&](AttrId a) { Absorb(static_cast<uint64_t>(a)); });
+  AbsorbAttrSetInto(*this, s);
 }
 
 Fingerprint FingerprintMixer::Digest() const {
   return Fingerprint{Avalanche(lo_), Avalanche(hi_)};
 }
+
+// Two FingerprintMixers under different seeds, fed the same words in
+// lockstep: each word is avalanched once for both.
+class FingerprintMixerPair {
+ public:
+  FingerprintMixerPair(uint64_t seed_a, uint64_t seed_b)
+      : a_(seed_a), b_(seed_b) {}
+  void Absorb(uint64_t word) {
+    const uint64_t mixed = Avalanche(word);
+    MixLanes(a_.lo_, a_.hi_, word, mixed);
+    MixLanes(b_.lo_, b_.hi_, word, mixed);
+  }
+  Fingerprint DigestA() const { return a_.Digest(); }
+  Fingerprint DigestB() const { return b_.Digest(); }
+
+ private:
+  FingerprintMixer a_;
+  FingerprintMixer b_;
+};
 
 bool CanonicalQuery::SameShape(const DatabaseSchema& other_schema,
                                const AttrSet& other_target) const {
@@ -93,23 +151,19 @@ CanonicalQuery CanonicalizeQuery(const DatabaseSchema& d,
 Fingerprint FingerprintDatabase(const DatabaseSchema& d, const AttrSet& target,
                                 const std::vector<Relation>& states,
                                 uint64_t seed) {
-  GYO_CHECK(static_cast<int>(states.size()) == d.NumRelations());
   FingerprintMixer mixer(seed);
-  mixer.Absorb(static_cast<uint64_t>(d.NumRelations()));
-  for (int i = 0; i < d.NumRelations(); ++i) mixer.AbsorbAttrSet(d[i]);
-  mixer.Absorb(~uint64_t{0});
-  mixer.AbsorbAttrSet(target);
-  for (const Relation& r : states) {
-    mixer.Absorb(static_cast<uint64_t>(r.NumRows()));
-    mixer.Absorb(r.IsCanonical() ? 1 : 0);
-    for (int c = 0; c < r.Arity(); ++c) {
-      const Value* col = r.ColData(c);
-      for (int64_t i = 0; i < r.NumRows(); ++i) {
-        mixer.Absorb(static_cast<uint64_t>(col[i]));
-      }
-    }
-  }
+  AbsorbDatabase(mixer, d, target, states);
   return mixer.Digest();
+}
+
+void FingerprintDatabasePair(const DatabaseSchema& d, const AttrSet& target,
+                             const std::vector<Relation>& states,
+                             uint64_t seed_a, uint64_t seed_b, Fingerprint* a,
+                             Fingerprint* b) {
+  FingerprintMixerPair mixers(seed_a, seed_b);
+  AbsorbDatabase(mixers, d, target, states);
+  *a = mixers.DigestA();
+  *b = mixers.DigestB();
 }
 
 }  // namespace cache

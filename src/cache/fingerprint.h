@@ -57,6 +57,8 @@ class FingerprintMixer {
   Fingerprint Digest() const;
 
  private:
+  friend class FingerprintMixerPair;  // fingerprint.cc
+
   uint64_t lo_;
   uint64_t hi_;
 };
@@ -99,6 +101,16 @@ CanonicalQuery CanonicalizeQuery(const DatabaseSchema& d,
 Fingerprint FingerprintDatabase(const DatabaseSchema& d, const AttrSet& target,
                                 const std::vector<Relation>& states,
                                 uint64_t seed);
+
+/// FingerprintDatabase under two seeds in one sweep over the column arenas:
+/// the two mixers advance in lockstep and share each word's avalanche (it
+/// does not depend on the seed), leaving four independent multiply chains
+/// per word. *a and *b equal FingerprintDatabase(..., seed_a) and
+/// FingerprintDatabase(..., seed_b) bit for bit.
+void FingerprintDatabasePair(const DatabaseSchema& d, const AttrSet& target,
+                             const std::vector<Relation>& states,
+                             uint64_t seed_a, uint64_t seed_b, Fingerprint* a,
+                             Fingerprint* b);
 
 }  // namespace cache
 }  // namespace gyo

@@ -19,8 +19,8 @@ ResultKey MakeResultKey(const DatabaseSchema& d, const AttrSet& target,
                         const std::vector<Relation>& states,
                         uint64_t variant) {
   ResultKey key;
-  key.a = FingerprintDatabase(d, target, states, kSeedA ^ variant);
-  key.b = FingerprintDatabase(d, target, states, kSeedB ^ Avalanche64(variant));
+  FingerprintDatabasePair(d, target, states, kSeedA ^ variant,
+                          kSeedB ^ Avalanche64(variant), &key.a, &key.b);
   return key;
 }
 

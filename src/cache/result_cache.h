@@ -42,7 +42,8 @@ struct ResultKeyHash {
   }
 };
 
-/// Fingerprints the full query content under both lanes' seeds. `variant`
+/// Fingerprints the full query content under both lanes' seeds, in one
+/// sweep over the column arenas (FingerprintDatabasePair). `variant`
 /// distinguishes executions that may differ on identical data (resolved
 /// strategy, deterministic mode, ...).
 ResultKey MakeResultKey(const DatabaseSchema& d, const AttrSet& target,

@@ -620,19 +620,19 @@ Relation Run(const Program& program, const std::vector<Relation>& base,
 }
 
 std::vector<Relation> PhysicalPlan::ExecuteAdmitted(
-    const std::vector<Relation>& base, const ExecContext& ctx,
+    std::vector<Relation> base, const ExecContext& ctx,
     ExecutorPool::Admission& admission, Program::Stats* stats) const {
-  return ExecuteImpl(program_, deps_, reader_counts_, base, ctx, stats,
-                     &admission);
+  return ExecuteImpl(program_, deps_, reader_counts_, std::move(base), ctx,
+                     stats, &admission);
 }
 
 std::vector<Relation> ExecuteAdmitted(const Program& program,
-                                      const std::vector<Relation>& base,
+                                      std::vector<Relation> base,
                                       const ExecContext& ctx,
                                       ExecutorPool::Admission& admission,
                                       Program::Stats* stats) {
   return ExecuteImpl(program, ComputeDependencies(program),
-                     ComputeReaderCounts(program), base, ctx, stats,
+                     ComputeReaderCounts(program), std::move(base), ctx, stats,
                      &admission);
 }
 

@@ -81,8 +81,9 @@ class PhysicalPlan {
   /// Admitted execution reusing this plan's memoized analysis — the
   /// plan-cache serve path, where the caller already holds a TryAdmit slot
   /// and the dependency analysis came out of the cache. Semantics match the
-  /// free ExecuteAdmitted exactly.
-  std::vector<Relation> ExecuteAdmitted(const std::vector<Relation>& base,
+  /// free ExecuteAdmitted exactly, `base` included: pass an rvalue to hand
+  /// the states over without a copy.
+  std::vector<Relation> ExecuteAdmitted(std::vector<Relation> base,
                                         const ExecContext& ctx,
                                         ExecutorPool::Admission& admission,
                                         Program::Stats* stats = nullptr) const;
@@ -153,9 +154,11 @@ Relation Run(const Program& program, const std::vector<Relation>& base,
 /// (ctx.threads is ignored except for validation; ctx.pool must be null or
 /// that same pool). Deterministic-mode output is bit-identical to serial
 /// execution regardless of pool width — the property the serve end-to-end
-/// tests pin with IdenticalTo.
+/// tests pin with IdenticalTo. `base` is taken by value: the serve path
+/// moves its decoded states in (they are never read again); an lvalue
+/// argument is copied.
 std::vector<Relation> ExecuteAdmitted(const Program& program,
-                                      const std::vector<Relation>& base,
+                                      std::vector<Relation> base,
                                       const ExecContext& ctx,
                                       ExecutorPool::Admission& admission,
                                       Program::Stats* stats = nullptr);

@@ -82,8 +82,7 @@ inline bool KeysEqual(const std::vector<const Value*>& a_keys, int64_t a_row,
 }
 
 // Gathers src_col[ids[t]] into dst[t] — the per-column compaction primitive
-// every kernel's output pass is built from (AVX2 hardware gather where
-// available, scalar otherwise; order-preserving on every tier).
+// every kernel's output pass is built from (order-preserving).
 inline void GatherColumn(const Value* src_col,
                          const std::vector<int64_t>& ids, Value* dst) {
   simd::Gather64(src_col, ids.data(), static_cast<int64_t>(ids.size()), dst);

@@ -6,17 +6,16 @@
 
 /// Explicit vectorization for the kernel hot loops (rel/ops.cc): the FNV-1a
 /// fold sweeps of HashColumns and the per-column gather behind every
-/// compaction pass. Three compile-time tiers, widest available wins:
+/// compaction pass. Two compile-time tiers:
 ///
 ///   1. GCC/Clang vector extensions (4 × u64 lanes) for the streaming
 ///      sweeps — element-wise xor/multiply/shift are defined per lane, so
 ///      the results are BIT-IDENTICAL to the scalar loops (bucket chains,
 ///      Bloom bits, and output orders depend on the exact hash values).
-///   2. An AVX2 hardware gather for Gather64 where __AVX2__ is set (the
-///      vector extensions cannot express an indexed load).
-///   3. Scalar fallbacks everywhere else — and everywhere when the build
-///      sets GYO_DISABLE_SIMD (CMake option of the same name), the
-///      configuration CI proves green so the portable path cannot rot.
+///   2. Scalar loops everywhere else — Gather64 always (the vector
+///      extensions cannot express an indexed load), and every sweep when
+///      the build sets GYO_DISABLE_SIMD (CMake option of the same name),
+///      the configuration CI proves green so the portable path cannot rot.
 ///
 /// Unaligned data is the norm (arena offsets are arbitrary), so all vector
 /// loads/stores go through memcpy, which the compilers fold into unaligned
@@ -24,11 +23,6 @@
 
 #if !defined(GYO_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
 #define GYO_SIMD_VECTOR_EXT 1
-#endif
-
-#if !defined(GYO_DISABLE_SIMD) && defined(__AVX2__)
-#include <immintrin.h>
-#define GYO_SIMD_AVX2_GATHER 1
 #endif
 
 namespace gyo {
@@ -119,21 +113,10 @@ inline void AvalancheSweep(uint64_t* h, int64_t n) {
 }
 
 /// dst[t] = src[ids[t]] for t in [0, n) — the per-column gather every
-/// compaction/output pass is built from. Order-preserving by construction
-/// on every tier (the AVX2 gather reads and writes lanes in index order).
+/// compaction/output pass is built from. Order-preserving by construction.
 inline void Gather64(const int64_t* src, const int64_t* ids, int64_t n,
                      int64_t* dst) {
-  int64_t t = 0;
-#if defined(GYO_SIMD_AVX2_GATHER)
-  for (; t + 4 <= n; t += 4) {
-    __m256i vidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + t));
-    __m256i v = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(src), vidx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + t), v);
-  }
-#endif
-  for (; t < n; ++t) dst[t] = src[ids[t]];
+  for (int64_t t = 0; t < n; ++t) dst[t] = src[ids[t]];
 }
 
 #if defined(GYO_SIMD_VECTOR_EXT) && defined(__GNUC__) && !defined(__clang__)

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
@@ -23,6 +24,105 @@ constexpr int kMaxArity = 4096;
 bool SetError(std::string* error, const char* message) {
   if (error != nullptr) *error = message;
   return false;
+}
+
+// The fixed-width column codec's wide access: one unaligned 8-byte
+// little-endian store or load per value (memcpy folds into a single move;
+// big-endian hosts swap).
+inline void StoreLe64(uint8_t* p, uint64_t v) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  v = __builtin_bswap64(v);
+#endif
+  std::memcpy(p, &v, sizeof(v));
+}
+
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  v = __builtin_bswap64(v);
+#endif
+  return v;
+}
+
+// Bytes an 8-byte store may write past the last value of a column block.
+constexpr size_t kStoreSlack = 7;
+
+uint64_t ZigzagEncode(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+size_t VarintBytes(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+size_t PutVarint(uint8_t* p, uint64_t v) {
+  size_t n = 0;
+  for (; v >= 0x80; v >>= 7) p[n++] = static_cast<uint8_t>(v) | 0x80;
+  p[n++] = static_cast<uint8_t>(v);
+  return n;
+}
+
+// Byte width of a column block: the fewest bytes that hold `span`
+// (max − min as an unsigned difference), at least one.
+size_t ByteWidth(uint64_t span) {
+  size_t w = 1;
+  while (w < 8 && (span >> (8 * w)) != 0) ++w;
+  return w;
+}
+
+// Decodes one column block: `rows` values of `width` bytes at `p` (the
+// block lies inside [p, end)), each `base` plus its little-endian delta.
+// A value whose 8-byte load stays inside the frame takes one masked load;
+// only the frame's last few values are assembled byte by byte.
+void DecodeColumn(const uint8_t* p, const uint8_t* end, size_t width,
+                  uint64_t base, uint64_t rows, Value* out) {
+  const uint64_t mask =
+      width == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * width)) - 1;
+  const size_t avail = static_cast<size_t>(end - p);
+  const uint64_t fast =
+      avail < 8 ? 0 : std::min<uint64_t>(rows, (avail - 8) / width + 1);
+  uint64_t i = 0;
+  for (; i < fast; ++i) {
+    out[i] = static_cast<Value>(base + (LoadLe64(p + i * width) & mask));
+  }
+  for (; i < rows; ++i) {
+    const uint8_t* v = p + i * width;
+    uint64_t delta = 0;
+    for (size_t b = 0; b < width; ++b) {
+      delta |= static_cast<uint64_t>(v[b]) << (8 * b);
+    }
+    out[i] = static_cast<Value>(base + delta);
+  }
+}
+
+// True iff `r`'s rows are strictly ascending — a canonical claim, checked
+// one column at a time. An adjacent row pair stays tied while every column
+// so far is equal, and only tied pairs are compared on the next column; a
+// pair tied on every column is a duplicate. Needs Arity() >= 1 once there
+// are two rows (the decoder admits at most one zero-arity row).
+bool StrictlyAscending(const Relation& r) {
+  const int64_t n = r.NumRows();
+  if (n < 2) return true;
+  // Entry i: rows i - 1 and i agree on every column compared so far.
+  std::vector<int64_t> tied;
+  const Value* col = r.ColData(0);
+  for (int64_t i = 1; i < n; ++i) {
+    if (col[i - 1] > col[i]) return false;
+    if (col[i - 1] == col[i]) tied.push_back(i);
+  }
+  for (int c = 1; c < r.Arity() && !tied.empty(); ++c) {
+    col = r.ColData(c);
+    size_t kept = 0;
+    for (int64_t i : tied) {
+      if (col[i - 1] > col[i]) return false;
+      if (col[i - 1] == col[i]) tied[kept++] = i;
+    }
+    tied.resize(kept);
+  }
+  return tied.empty();
 }
 
 std::string_view Trim(std::string_view s) {
@@ -95,20 +195,12 @@ void Writer::F64(double v) {
 
 void Writer::Varint(uint64_t v) {
   uint8_t bytes[10];
-  int n = 0;
-  while (v >= 0x80) {
-    bytes[n++] = static_cast<uint8_t>(v) | 0x80;
-    v >>= 7;
-  }
-  bytes[n++] = static_cast<uint8_t>(v);
-  if (!Fits(static_cast<size_t>(n))) return;
+  const size_t n = PutVarint(bytes, v);
+  if (!Fits(n)) return;
   buf_.insert(buf_.end(), bytes, bytes + n);
 }
 
-void Writer::Zigzag(int64_t v) {
-  Varint((static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63));
-}
+void Writer::Zigzag(int64_t v) { Varint(ZigzagEncode(v)); }
 
 void Writer::Str(std::string_view s) {
   Varint(s.size());
@@ -117,13 +209,52 @@ void Writer::Str(std::string_view s) {
 }
 
 void Writer::RelationData(const Relation& r) {
-  Varint(static_cast<uint64_t>(r.Arity()));
-  U8(r.IsCanonical() ? 1 : 0);
-  Varint(static_cast<uint64_t>(r.NumRows()));
-  for (int c = 0; c < r.Arity(); ++c) {
+  const int arity = r.Arity();
+  const int64_t rows = r.NumRows();
+  // Pass 1: each column's frame of reference (its minimum) and the byte
+  // width of its value span, which together size the whole block.
+  struct Block {
+    Value base = 0;
+    size_t width = 1;
+  };
+  std::vector<Block> blocks(static_cast<size_t>(arity));
+  size_t bytes = VarintBytes(static_cast<uint64_t>(arity)) + 1 +
+                 VarintBytes(static_cast<uint64_t>(rows));
+  for (int c = 0; c < arity; ++c) {
     const Value* col = r.ColData(c);
-    for (int64_t i = 0; i < r.NumRows(); ++i) Zigzag(col[i]);
+    Value lo = rows > 0 ? col[0] : 0;
+    Value hi = lo;
+    for (int64_t i = 1; i < rows; ++i) {
+      lo = std::min(lo, col[i]);
+      hi = std::max(hi, col[i]);
+    }
+    Block& b = blocks[static_cast<size_t>(c)];
+    b.base = lo;
+    b.width = ByteWidth(static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo));
+    bytes += VarintBytes(ZigzagEncode(lo)) + 1 +
+             static_cast<size_t>(rows) * b.width;
   }
+  if (!Fits(bytes)) return;
+  // Pass 2: one wide store per value into the pre-sized block. Each store
+  // writes 8 bytes and keeps `width`; the next store, the next column
+  // header, or the final trim overwrites the rest.
+  const size_t at = buf_.size();
+  buf_.resize(at + bytes + kStoreSlack);
+  uint8_t* p = buf_.data() + at;
+  p += PutVarint(p, static_cast<uint64_t>(arity));
+  *p++ = r.IsCanonical() ? 1 : 0;
+  p += PutVarint(p, static_cast<uint64_t>(rows));
+  for (int c = 0; c < arity; ++c) {
+    const Block& b = blocks[static_cast<size_t>(c)];
+    p += PutVarint(p, ZigzagEncode(b.base));
+    *p++ = static_cast<uint8_t>(b.width);
+    const Value* col = r.ColData(c);
+    const uint64_t base = static_cast<uint64_t>(b.base);
+    for (int64_t i = 0; i < rows; ++i, p += b.width) {
+      StoreLe64(p, static_cast<uint64_t>(col[i]) - base);
+    }
+  }
+  buf_.resize(at + bytes);
 }
 
 void Writer::Begin(FrameType type) {
@@ -207,25 +338,27 @@ bool Reader::RelationData(const AttrSet& schema, Relation* out) {
   Relation r(schema);
   if (arity != static_cast<uint64_t>(r.Arity())) return Fail();
   if (canonical > 1) return Fail();
-  // Every value is at least one wire byte, so a row-count claim larger than
-  // the bytes on hand is rejected before the allocation it implies.
-  if (rows > Remaining() || (arity > 0 && rows * arity > Remaining())) {
+  // Every value is at least one wire byte (column widths are >= 1), so a
+  // row-count claim larger than the bytes on hand is rejected before the
+  // allocation it implies. Zero columns carry no bytes: 0 or 1 row.
+  if (arity == 0 ? rows > 1
+                 : rows > Remaining() || rows * arity > Remaining()) {
     return Fail();
   }
-  if (arity == 0 && rows > 1) return Fail();  // zero-column: 0 or 1 row
   r.AppendRows(static_cast<int64_t>(rows));
   for (uint64_t c = 0; c < arity; ++c) {
-    Value* col = r.ColData(static_cast<int>(c));
-    for (uint64_t i = 0; i < rows; ++i) {
-      if (!Zigzag(&col[i])) return false;
-    }
+    int64_t base;
+    uint8_t width;
+    if (!Zigzag(&base) || !U8(&width)) return false;
+    if (width < 1 || width > 8 || rows > Remaining() / width) return Fail();
+    DecodeColumn(p_, end_, width, static_cast<uint64_t>(base), rows,
+                 r.ColData(static_cast<int>(c)));
+    p_ += rows * width;
   }
+  // Verify a canonical claim instead of trusting it: a false flag would
+  // trip debug assertions (and break set semantics) downstream.
   if (canonical == 1) {
-    // Verify the claim instead of trusting it: a false flag would trip
-    // debug assertions (and break set semantics) downstream.
-    for (int64_t i = 1; i < r.NumRows(); ++i) {
-      if (!(r.Row(i - 1) < r.Row(i))) return Fail();
-    }
+    if (!StrictlyAscending(r)) return Fail();
     r.MarkCanonical();
   }
   *out = std::move(r);

@@ -27,10 +27,10 @@ namespace serve {
 /// A frame is a 4-byte little-endian payload length followed by the payload;
 /// payload byte 0 is the FrameType, the rest is the message body. Integers
 /// inside bodies are LEB128 varints (zigzag for signed values), strings are
-/// varint-length-prefixed bytes, and relation data travels column-major —
-/// the same layout the columnar storage holds, so encode/decode are
-/// straight sweeps over the arenas. The full wire reference lives in
-/// docs/protocol.md.
+/// varint-length-prefixed bytes, and relation data travels column-major as
+/// fixed-width frame-of-reference blocks — the same layout the columnar
+/// storage holds, so encode/decode are straight sweeps over the arenas. The
+/// full wire reference lives in docs/protocol.md.
 ///
 /// Every decoder is bounds-checked and total: malformed, truncated, or
 /// hostile input yields `false` plus an error string, never an abort — the
@@ -194,8 +194,10 @@ class Writer {
   void Zigzag(int64_t v);
   void Str(std::string_view s);
   /// Relation data: varint arity, u8 canonical flag, varint row count, then
-  /// the columns in schema order, each a run of zigzag values (column-major
-  /// — a direct sweep over the arenas).
+  /// the columns in schema order, each one frame-of-reference block: zigzag
+  /// `base` (the column minimum), u8 byte width `w` in [1, 8], then
+  /// rows × w little-endian bytes of `value − base`. Sized once, written
+  /// with one wide store per value.
   void RelationData(const Relation& r);
 
   /// Caps the payload this writer may grow to (default: the wire format's
@@ -242,8 +244,10 @@ class Reader {
   bool Zigzag(int64_t* out);
   bool Str(std::string* out);
   /// Decodes relation data into a relation over `schema` (arity must match
-  /// the schema's attribute count). Verifies a claimed canonical flag by
-  /// scanning — a false claim is malformed input, not a crash.
+  /// the schema's attribute count). Rejects a column width outside [1, 8]
+  /// and a block longer than the bytes on hand before reading it, and
+  /// verifies a claimed canonical flag column by column — a false claim is
+  /// malformed input, not a crash.
   bool RelationData(const AttrSet& schema, Relation* out);
 
   bool ok() const { return ok_; }

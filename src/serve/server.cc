@@ -120,6 +120,12 @@ class Server::Impl {
   };
 
   void IoLoop();
+  /// Once draining_ is set, starts the drain exactly once: records the
+  /// drain report's connection and in-flight counts, closes the listener,
+  /// and marks every connection to close once quiet. Runs before each
+  /// completion sweep, so a query in flight when the drain was requested
+  /// is counted even if its completion is reaped in the same wake.
+  void MaybeStartDrain();
   void Accept();
   void ReadFromConn(Conn& conn);
   void ExtractFrames(Conn& conn);
@@ -141,8 +147,10 @@ class Server::Impl {
   void Wake();
 
   /// Worker-thread body: decode, build the program, admit (shedding with a
-  /// typed error frame), execute, encode. Never touches conns_.
-  void RunQuery(uint64_t conn_id, std::vector<uint8_t> body);
+  /// typed error frame), execute, encode. Never touches conns_. `payload`
+  /// is the whole frame payload; the body is decoded in place past the
+  /// type byte.
+  void RunQuery(uint64_t conn_id, std::vector<uint8_t> payload);
   void PostCompletion(uint64_t conn_id, std::vector<uint8_t> frame);
 
   const ServerOptions options_;
@@ -295,18 +303,7 @@ void Server::Impl::IoLoop() {
   std::vector<pollfd> pfds;
   std::vector<uint64_t> pfd_conn;  // conn id per pfds entry, 0 = not a conn
   while (true) {
-    if (draining_.load(std::memory_order_acquire) && !drain_started_) {
-      drain_started_ = true;
-      report_.connections_at_drain = conns_.size();
-      report_.queries_in_flight_at_drain = workers_.size();
-      if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-      }
-      // Every connection closes as soon as it is quiet: idle ones now,
-      // executing ones when their response has been flushed.
-      for (auto& [id, conn] : conns_) conn.close_after_flush = true;
-    }
+    MaybeStartDrain();
 
     // Reap connections that are quiet: nothing executing, nothing left to
     // flush, and either faulted/drained or the peer already closed.
@@ -358,6 +355,9 @@ void Server::Impl::IoLoop() {
         uint8_t buf[256];
         while (::read(wake_read_, buf, sizeof(buf)) > 0) {
         }
+        // A drain request and a completion can share one wake: observe the
+        // drain first, while the finishing query still counts as in flight.
+        MaybeStartDrain();
         ProcessCompletions();
         continue;
       }
@@ -385,6 +385,20 @@ void Server::Impl::IoLoop() {
       }
     }
   }
+}
+
+void Server::Impl::MaybeStartDrain() {
+  if (drain_started_ || !draining_.load(std::memory_order_acquire)) return;
+  drain_started_ = true;
+  report_.connections_at_drain = conns_.size();
+  report_.queries_in_flight_at_drain = workers_.size();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  // Every connection closes as soon as it is quiet: idle ones now,
+  // executing ones when their response has been flushed.
+  for (auto& [id, conn] : conns_) conn.close_after_flush = true;
 }
 
 void Server::Impl::Accept() {
@@ -507,7 +521,6 @@ void Server::Impl::Dispatch(Conn& conn, std::vector<uint8_t> payload) {
     conn.close_after_flush = true;
     return;
   }
-  payload.erase(payload.begin());  // strip the type byte
   conn.executing = true;
   const uint64_t conn_id = conn.id;
   workers_.emplace(conn_id, std::thread([this, conn_id,
@@ -568,20 +581,20 @@ void Server::Impl::ProcessCompletions() {
 // ---------------------------------------------------------------------------
 // Worker
 
-void Server::Impl::RunQuery(uint64_t conn_id, std::vector<uint8_t> body) {
+void Server::Impl::RunQuery(uint64_t conn_id, std::vector<uint8_t> payload) {
   Catalog catalog;
   QueryRequest req;
   DatabaseSchema schema;
   AttrSet target;
   std::string err;
-  if (!DecodeQueryRequest(body.data(), body.size(), catalog, &req, &schema,
-                          &target, &err)) {
+  if (!DecodeQueryRequest(payload.data() + 1, payload.size() - 1, catalog, &req,
+                          &schema, &target, &err)) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     PostCompletion(conn_id, EncodeError(ErrorCode::kMalformed, err));
     return;
   }
-  body.clear();
-  body.shrink_to_fit();
+  payload.clear();
+  payload.shrink_to_fit();
 
   // Resolve the strategy to a program — through the plan cache when
   // enabled, which memoizes the GYO reduction / join-tree work and the
@@ -710,12 +723,14 @@ void Server::Impl::RunQuery(uint64_t conn_id, std::vector<uint8_t> body) {
   ctx.morsel_rows = options_.morsel_rows;
   QueryResponse resp;
   ctx.query_stats = &resp.query_stats;
+  // The decoded states are handed over, not copied: nothing reads them
+  // after execution.
   std::vector<Relation> states =
       plan.has_value()
-          ? plan->ExecuteAdmitted(req.states, ctx, *admit.admission,
+          ? plan->ExecuteAdmitted(std::move(req.states), ctx, *admit.admission,
                                   &resp.stats)
-          : exec::ExecuteAdmitted(program, req.states, ctx, *admit.admission,
-                                  &resp.stats);
+          : exec::ExecuteAdmitted(program, std::move(req.states), ctx,
+                                  *admit.admission, &resp.stats);
   admit.admission.reset();  // release the slot before encoding
   // Execution reset query_stats; the cache verdicts are stamped after.
   resp.query_stats.plan_cache_hits = plan_hit ? 1 : 0;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -530,6 +532,53 @@ TEST(ResultCacheTest, RoundTripsBitIdenticalValues) {
   EXPECT_NE(key, MakeResultKey(d, target, states, 2));
   states[0].AddRow({7, 7});
   EXPECT_NE(key, MakeResultKey(d, target, states, 1));
+}
+
+TEST(ResultCacheTest, KeysArePinnedAcrossImplementations) {
+  // MakeResultKey derives both fingerprints in one sweep; these values were
+  // recorded from the two-pass derivation (one FingerprintDatabase call per
+  // seed), so any drift in the word order, the lanes, or the seeds shows.
+  auto expect_key = [](const ResultKey& k, std::array<uint64_t, 4> want) {
+    EXPECT_EQ(k.a.lo, want[0]);
+    EXPECT_EQ(k.a.hi, want[1]);
+    EXPECT_EQ(k.b.lo, want[2]);
+    EXPECT_EQ(k.b.hi, want[3]);
+  };
+  {
+    Catalog catalog;
+    DatabaseSchema d = ParseSchema(catalog, "ab,bc");
+    AttrSet target = ParseAttrSet(catalog, "ac");
+    std::vector<Relation> states{Relation(d.Relation(0)),
+                                 Relation(d.Relation(1))};
+    states[0].AddRow({1, 2});
+    states[0].AddRow({3, 4});
+    states[0].MarkCanonical();
+    states[1].AddRow({4, -7});
+    states[1].AddRow({2, 5});
+    const ResultKey key = MakeResultKey(d, target, states, 3);
+    expect_key(key, {0x5abf715792788c2fULL, 0xf79700f25746b4deULL,
+                     0xefa45f913ff0ffb0ULL, 0x7e37bfb3ed469667ULL});
+    // The paired sweep matches two single-seed sweeps for any seeds.
+    Fingerprint a, b;
+    FingerprintDatabasePair(d, target, states, 11, 12, &a, &b);
+    EXPECT_EQ(a, FingerprintDatabase(d, target, states, 11));
+    EXPECT_EQ(b, FingerprintDatabase(d, target, states, 12));
+  }
+  {
+    Catalog catalog;
+    DatabaseSchema d = ParseSchema(catalog, "abc,cd,d");
+    AttrSet target = ParseAttrSet(catalog, "ad");
+    std::vector<Relation> states{Relation(d.Relation(0)),
+                                 Relation(d.Relation(1)),
+                                 Relation(d.Relation(2))};
+    states[0].AddRow({std::numeric_limits<Value>::min(), 0,
+                      std::numeric_limits<Value>::max()});
+    states[0].AddRow({-1, Value{1} << 40, 9});
+    states[1].AddRow({9, 9});
+    const ResultKey key = MakeResultKey(d, target, states, 7);
+    expect_key(key, {0x14012c0863cb0073ULL, 0x636cfe415b79fca0ULL,
+                     0xa2bc37f8c11f864cULL, 0x977a59ec499c816dULL});
+  }
 }
 
 TEST(ResultCacheTest, ByteBoundEvictsLru) {

@@ -135,22 +135,158 @@ TEST(FrameCodecTest, RelationDataRoundTripsBitIdentically) {
   EXPECT_EQ(original.IsCanonical(), decoded.IsCanonical());
 }
 
+// One column block of encoded relation data, as read back from the wire.
+struct ColumnBlock {
+  int64_t base;
+  uint8_t width;
+};
+
+// Walks relation data in the wire layout (varint arity, u8 canonical,
+// varint rows, then per column: zigzag base, u8 width, rows × width bytes)
+// and returns each column's frame of reference.
+std::vector<ColumnBlock> ColumnBlocks(const std::vector<uint8_t>& body) {
+  Reader r(body.data(), body.size());
+  uint64_t arity = 0, rows = 0;
+  uint8_t canonical = 0;
+  EXPECT_TRUE(r.Varint(&arity) && r.U8(&canonical) && r.Varint(&rows));
+  std::vector<ColumnBlock> blocks;
+  for (uint64_t c = 0; c < arity; ++c) {
+    ColumnBlock b{};
+    EXPECT_TRUE(r.Zigzag(&b.base) && r.U8(&b.width));
+    for (uint64_t i = 0; i < rows * b.width; ++i) {
+      uint8_t skipped;
+      EXPECT_TRUE(r.U8(&skipped));
+    }
+    blocks.push_back(b);
+  }
+  EXPECT_TRUE(r.AtEnd());
+  return blocks;
+}
+
+// Encodes `rel` as the only content of a frame body.
+std::vector<uint8_t> EncodeRelation(const Relation& rel) {
+  Writer w;
+  w.Begin(FrameType::kError);
+  w.RelationData(rel);
+  return Body(w.Finish(), FrameType::kError);
+}
+
+// Decodes a body holding exactly one relation over `schema`.
+bool DecodeRelation(const std::vector<uint8_t>& body, const AttrSet& schema,
+                    Relation* out) {
+  Reader r(body.data(), body.size());
+  return r.RelationData(schema, out) && r.AtEnd();
+}
+
+TEST(FrameCodecTest, RelationDataRoundTripsEdgeColumns) {
+  Catalog catalog;
+  const AttrSet ab = ParseAttrSet(catalog, "ab");
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+
+  // INT64_MIN and INT64_MAX in one column span the whole u64 range: width
+  // 8, and value − base wraps. Column b is all-equal: width 1, all zeros.
+  Relation extremes(ab);
+  extremes.AddRow({kMax, 7});
+  extremes.AddRow({kMin, 7});
+  extremes.AddRow({0, 7});
+  std::vector<uint8_t> body = EncodeRelation(extremes);
+  std::vector<ColumnBlock> blocks = ColumnBlocks(body);
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0].base, kMin);
+  EXPECT_EQ(blocks[0].width, 8);
+  EXPECT_EQ(blocks[1].base, 7);
+  EXPECT_EQ(blocks[1].width, 1);
+  Relation decoded{AttrSet()};
+  ASSERT_TRUE(DecodeRelation(body, ab, &decoded));
+  EXPECT_TRUE(extremes.IdenticalTo(decoded));
+  EXPECT_FALSE(decoded.IsCanonical());
+
+  // Negative values: the base is the (negative) minimum, the width covers
+  // the span. The rows are canonical, and the flag survives the trip.
+  Relation negative(ab);
+  negative.AddRow({-1000, -1});
+  negative.AddRow({-5, -300});
+  negative.AddRow({-3, 0});
+  negative.MarkCanonical();
+  body = EncodeRelation(negative);
+  blocks = ColumnBlocks(body);
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0].base, -1000);
+  EXPECT_EQ(blocks[0].width, 2);  // span 997
+  EXPECT_EQ(blocks[1].base, -300);
+  EXPECT_EQ(blocks[1].width, 2);  // span 300
+  ASSERT_TRUE(DecodeRelation(body, ab, &decoded));
+  EXPECT_TRUE(negative.IdenticalTo(decoded));
+  EXPECT_TRUE(decoded.IsCanonical());
+
+  // Every width from 1 to 8 bytes in the last column, whose final values
+  // sit at the end of the frame where an 8-byte load would overrun it.
+  for (int width = 1; width <= 8; ++width) {
+    const Value top = width == 8 ? kMax : (Value{1} << (8 * width)) - 1;
+    Relation r(ab);
+    for (int i = 0; i < 20; ++i) r.AddRow({0, i});
+    r.AddRow({1, top});
+    body = EncodeRelation(r);
+    blocks = ColumnBlocks(body);
+    ASSERT_EQ(blocks.size(), 2u);
+    EXPECT_EQ(blocks[1].width, width);
+    ASSERT_TRUE(DecodeRelation(body, ab, &decoded)) << "width " << width;
+    EXPECT_TRUE(r.IdenticalTo(decoded)) << "width " << width;
+  }
+
+  // Zero rows (an empty relation is canonical): each column still carries
+  // its header, with the minimum width.
+  const Relation none(ab);
+  body = EncodeRelation(none);
+  blocks = ColumnBlocks(body);
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0].width, 1);
+  EXPECT_EQ(blocks[1].width, 1);
+  ASSERT_TRUE(DecodeRelation(body, ab, &decoded));
+  EXPECT_TRUE(none.IdenticalTo(decoded));
+
+  // Zero arity: no column blocks, and 0 or 1 rows under either flag.
+  Relation nullary{AttrSet()};
+  body = EncodeRelation(nullary);
+  EXPECT_TRUE(ColumnBlocks(body).empty());
+  ASSERT_TRUE(DecodeRelation(body, AttrSet(), &decoded));
+  EXPECT_TRUE(nullary.IdenticalTo(decoded));
+  nullary.AddRow({});
+  ASSERT_FALSE(nullary.IsCanonical());
+  body = EncodeRelation(nullary);
+  ASSERT_TRUE(DecodeRelation(body, AttrSet(), &decoded));
+  EXPECT_TRUE(nullary.IdenticalTo(decoded));
+  EXPECT_EQ(decoded.NumRows(), 1);
+  nullary.MarkCanonical();
+  body = EncodeRelation(nullary);
+  ASSERT_TRUE(DecodeRelation(body, AttrSet(), &decoded));
+  EXPECT_TRUE(nullary.IdenticalTo(decoded));
+  EXPECT_TRUE(decoded.IsCanonical());
+}
+
 TEST(FrameCodecTest, RelationDataRejectsHostileClaims) {
   Catalog catalog;
   DatabaseSchema schema = ParseSchema(catalog, "ab");
   const AttrSet rel = schema.Relation(0);
 
-  // Arity mismatch with the schema.
+  // Arity mismatch with the schema. The frame is otherwise well formed —
+  // one row and a complete block for each of the three claimed columns — so
+  // only the arity check can reject it.
   {
     Writer w;
     w.Begin(FrameType::kError);
     w.Varint(3);  // claimed arity; the schema says 2
     w.U8(0);
-    w.Varint(0);
+    w.Varint(1);
+    for (int c = 0; c < 3; ++c) {
+      w.Zigzag(0);  // base 0, width 1, value 0
+      w.U8(1);
+      w.U8(0);
+    }
     std::vector<uint8_t> body = Body(w.Finish(), FrameType::kError);
-    Reader r(body.data(), body.size());
     Relation out{AttrSet()};
-    EXPECT_FALSE(r.RelationData(rel, &out));
+    EXPECT_FALSE(DecodeRelation(body, rel, &out));
   }
   // A row count far beyond the bytes present must be rejected before any
   // allocation (every value is at least one wire byte).
@@ -161,9 +297,47 @@ TEST(FrameCodecTest, RelationDataRejectsHostileClaims) {
     w.U8(0);
     w.Varint(1ull << 40);  // ~10^12 rows announced, 0 bytes follow
     std::vector<uint8_t> body = Body(w.Finish(), FrameType::kError);
-    Reader r(body.data(), body.size());
     Relation out{AttrSet()};
-    EXPECT_FALSE(r.RelationData(rel, &out));
+    EXPECT_FALSE(DecodeRelation(body, rel, &out));
+  }
+  // A row count whose product with the arity wraps to 0 in 64 bits.
+  {
+    Writer w;
+    w.Begin(FrameType::kError);
+    w.Varint(2);
+    w.U8(0);
+    w.Varint(1ull << 63);
+    std::vector<uint8_t> body = Body(w.Finish(), FrameType::kError);
+    Relation out{AttrSet()};
+    EXPECT_FALSE(DecodeRelation(body, rel, &out));
+  }
+  // A canonical flag other than 0 or 1, on an otherwise valid relation.
+  {
+    Writer w;
+    w.Begin(FrameType::kError);
+    w.Varint(2);
+    w.U8(2);
+    w.Varint(1);
+    for (int c = 0; c < 2; ++c) {
+      w.Zigzag(0);
+      w.U8(1);
+      w.U8(0);
+    }
+    std::vector<uint8_t> body = Body(w.Finish(), FrameType::kError);
+    Relation out{AttrSet()};
+    EXPECT_FALSE(DecodeRelation(body, rel, &out));
+  }
+  // A zero-arity relation holds at most one row; it carries no bytes, so
+  // only that bound stops a larger claim.
+  {
+    Writer w;
+    w.Begin(FrameType::kError);
+    w.Varint(0);
+    w.U8(0);
+    w.Varint(2);
+    std::vector<uint8_t> body = Body(w.Finish(), FrameType::kError);
+    Relation out{AttrSet()};
+    EXPECT_FALSE(DecodeRelation(body, AttrSet(), &out));
   }
   // A false canonical claim (rows out of order) is malformed input: the
   // decoder verifies rather than trusts, so downstream set semantics and
@@ -172,16 +346,19 @@ TEST(FrameCodecTest, RelationDataRejectsHostileClaims) {
     Writer w;
     w.Begin(FrameType::kError);
     w.Varint(2);
-    w.U8(1);    // claims canonical
+    w.U8(1);  // claims canonical
     w.Varint(2);
-    w.Zigzag(9);  // column a: 9, 1 — not ascending
-    w.Zigzag(1);
-    w.Zigzag(0);  // column b
-    w.Zigzag(0);
+    w.Zigzag(1);  // column a: base 1, width 1, values 9, 1 — not ascending
+    w.U8(1);
+    w.U8(8);
+    w.U8(0);
+    w.Zigzag(0);  // column b: base 0, width 1, values 0, 0
+    w.U8(1);
+    w.U8(0);
+    w.U8(0);
     std::vector<uint8_t> body = Body(w.Finish(), FrameType::kError);
-    Reader r(body.data(), body.size());
     Relation out{AttrSet()};
-    EXPECT_FALSE(r.RelationData(rel, &out));
+    EXPECT_FALSE(DecodeRelation(body, rel, &out));
   }
   // The same rows without the claim decode fine.
   {
@@ -190,17 +367,119 @@ TEST(FrameCodecTest, RelationDataRejectsHostileClaims) {
     w.Varint(2);
     w.U8(0);
     w.Varint(2);
-    w.Zigzag(9);
     w.Zigzag(1);
+    w.U8(1);
+    w.U8(8);
+    w.U8(0);
     w.Zigzag(0);
-    w.Zigzag(0);
+    w.U8(1);
+    w.U8(0);
+    w.U8(0);
     std::vector<uint8_t> body = Body(w.Finish(), FrameType::kError);
-    Reader r(body.data(), body.size());
     Relation out{AttrSet()};
-    EXPECT_TRUE(r.RelationData(rel, &out));
+    EXPECT_TRUE(DecodeRelation(body, rel, &out));
     EXPECT_EQ(out.NumRows(), 2);
     EXPECT_FALSE(out.IsCanonical());
+    EXPECT_EQ(out.Cell(0, 0), 9);
+    EXPECT_EQ(out.Cell(1, 0), 1);
   }
+}
+
+TEST(FrameCodecTest, RelationDataVerifiesCanonicalClaimsColumnByColumn) {
+  Catalog catalog;
+  const AttrSet abc = ParseAttrSet(catalog, "abc");
+  Relation out{AttrSet()};
+  // Decodes `rows` with the canonical flag forced on, true or not.
+  auto accepts_claim = [&](std::initializer_list<std::vector<Value>> rows) {
+    Relation r(abc);
+    for (const std::vector<Value>& row : rows) r.AddRow(row);
+    std::vector<uint8_t> body = EncodeRelation(r);
+    body[1] = 1;  // after the 1-byte arity varint: the canonical flag
+    return DecodeRelation(body, abc, &out);
+  };
+  // Ties in the leading columns resolved upward by a later column.
+  EXPECT_TRUE(accepts_claim({{1, 1, 1}, {1, 1, 2}, {1, 2, 0}, {2, 0, 0}}));
+  EXPECT_TRUE(out.IsCanonical());
+  // A descent on column a, whatever the later columns do.
+  EXPECT_FALSE(accepts_claim({{2, 0, 0}, {1, 5, 5}}));
+  // A tie on column a broken downward on column b.
+  EXPECT_FALSE(accepts_claim({{1, 5, 0}, {1, 4, 9}}));
+  // A tie on columns a and b broken downward on the last column.
+  EXPECT_FALSE(accepts_claim({{0, 0, 0}, {1, 2, 3}, {1, 2, 2}}));
+  // A duplicate row: tied on every column.
+  EXPECT_FALSE(accepts_claim({{1, 2, 3}, {1, 2, 3}, {4, 0, 0}}));
+}
+
+TEST(FrameCodecTest, RelationDataRejectsBadColumnBlocks) {
+  Catalog catalog;
+  const AttrSet a = ParseAttrSet(catalog, "a");
+  // One column of two rows: arity 1, flag 0, rows 2, then the block header
+  // (zigzag base, u8 width) and `bytes` column bytes.
+  auto column = [](uint8_t width, size_t bytes) {
+    Writer w;
+    w.Begin(FrameType::kError);
+    w.Varint(1);
+    w.U8(0);
+    w.Varint(2);
+    w.Zigzag(-4);
+    w.U8(width);
+    for (size_t i = 0; i < bytes; ++i) w.U8(static_cast<uint8_t>(i));
+    return Body(w.Finish(), FrameType::kError);
+  };
+  // The decoder alone must refuse: no end-of-body check behind it.
+  Relation out{AttrSet()};
+  auto decodes = [&](const std::vector<uint8_t>& body) {
+    Reader r(body.data(), body.size());
+    return r.RelationData(a, &out);
+  };
+  // Widths outside [1, 8], with enough bytes behind them for any width.
+  EXPECT_FALSE(decodes(column(0, 16)));
+  EXPECT_FALSE(decodes(column(9, 18)));
+  // rows × width beyond the remaining bytes (2 × 4 = 8 > 7).
+  EXPECT_FALSE(decodes(column(4, 7)));
+  // The same block complete decodes: base −4 plus little-endian deltas.
+  ASSERT_TRUE(DecodeRelation(column(4, 8), a, &out));
+  EXPECT_EQ(out.Cell(0, 0), -4 + 0x03020100);
+  EXPECT_EQ(out.Cell(1, 0), -4 + 0x07060504);
+  // A truncated column header, on a zero-row column so that the row-count
+  // bound passes: the base varint cut mid-way, or the width byte missing.
+  // With both fields whole, the same column decodes.
+  for (int whole_fields : {0, 1, 2}) {
+    Writer w;
+    w.Begin(FrameType::kError);
+    w.Varint(1);
+    w.U8(0);
+    w.Varint(0);
+    if (whole_fields == 0) w.U8(0x80);  // continuation set, nothing follows
+    if (whole_fields >= 1) w.Zigzag(-4);
+    if (whole_fields == 2) w.U8(1);
+    EXPECT_EQ(decodes(Body(w.Finish(), FrameType::kError)), whole_fields == 2)
+        << "whole header fields: " << whole_fields;
+  }
+}
+
+TEST(FrameCodecTest, RelationDataBeyondThePayloadCapYieldsAnEmptyFrame) {
+  Catalog catalog;
+  Relation r(ParseAttrSet(catalog, "ab"));
+  for (int i = 0; i < 100; ++i) r.AddRow({i, 1000 * i});
+  Writer unbounded;
+  unbounded.Begin(FrameType::kError);
+  unbounded.RelationData(r);
+  const size_t payload = unbounded.Finish().size() - kFrameHeaderBytes;
+
+  // A cap of exactly the payload fits; one byte less drops the whole block
+  // and the frame.
+  Writer w;
+  w.LimitPayload(payload);
+  w.Begin(FrameType::kError);
+  w.RelationData(r);
+  EXPECT_FALSE(w.Overflowed());
+  EXPECT_EQ(w.Finish().size(), payload + kFrameHeaderBytes);
+  w.LimitPayload(payload - 1);
+  w.Begin(FrameType::kError);
+  w.RelationData(r);
+  EXPECT_TRUE(w.Overflowed());
+  EXPECT_TRUE(w.Finish().empty());
 }
 
 TEST(FrameCodecTest, QueryRequestRoundTrips) {

@@ -468,6 +468,56 @@ TEST(ServeTest, PipelinedFloodIsBackpressuredNotBufferedWithoutBound) {
   ::close(fd);
 }
 
+TEST(ServeTest, PipelinedQueriesAreAnsweredInOrderBitIdenticalToSerial) {
+  exec::ExecutorPool pool(PoolOptions(2, 1));
+  ServerOptions options;
+  options.pool = &pool;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // Two QUERY frames in one write: the second is framed out of the read
+  // buffer only after the first query's completion, and each is decoded in
+  // place past its type byte.
+  const Spec specs[] = {kTree, kCycle};
+  const uint64_t seeds[] = {31, 32};
+  std::vector<uint8_t> both;
+  for (int i = 0; i < 2; ++i) {
+    const std::vector<uint8_t> frame =
+        EncodeQueryRequest(MakeRequest(specs[i], seeds[i]));
+    both.insert(both.end(), frame.begin(), frame.end());
+  }
+  const int fd = Dial(server.port());
+  ASSERT_TRUE(WriteFrame(fd, both, &error)) << error;
+
+  for (int i = 0; i < 2; ++i) {
+    std::vector<uint8_t> payload;
+    ASSERT_EQ(ReadFrame(fd, kDefaultMaxFrameBytes, &payload, &error),
+              IoStatus::kOk)
+        << "reply " << i << ": " << error;
+    ASSERT_FALSE(payload.empty());
+    ASSERT_EQ(payload[0], static_cast<uint8_t>(FrameType::kQueryResponse));
+    Catalog catalog;
+    ParseSchema(catalog, specs[i].schema);
+    const AttrSet target = ParseAttrSet(catalog, specs[i].target);
+    QueryResponse response;
+    ASSERT_TRUE(DecodeQueryResponse(payload.data() + 1, payload.size() - 1,
+                                    target, &response, &error))
+        << error;
+    EXPECT_TRUE(
+        response.result.IdenticalTo(SerialReference(specs[i], seeds[i])))
+        << "reply " << i;
+  }
+  ::close(fd);
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  StatusResponse status;
+  ASSERT_EQ(client.Status(&status), Client::Outcome::kOk);
+  EXPECT_EQ(status.queries_served, 2u);
+  EXPECT_EQ(status.protocol_errors, 0u);
+}
+
 TEST(ServeTest, UnrecoverableFramesCloseTheConnectionCleanly) {
   exec::ExecutorPool pool(PoolOptions(2, 1));
   ServerOptions options;
