@@ -1,26 +1,23 @@
-// Incremental maintenance vs batch re-reduction, and the cache fast paths.
+// Re-reduction after an append, and the plan-cache fast path.
 //
-// The headline A/B: after a small append (Arg = appended rows per relation,
-// in tenths of a percent of the planted base), re-running the full pairwise
-// semijoin fixpoint (BM_BatchReduce_PathAppend) against delta-maintaining
-// the previous fixpoint (BM_DeltaReduce_PathAppend). Both produce
-// bit-identical states; the counters quantify the work gap — at a 1% append
-// the batch run re-removes every noise row in every round while the delta
-// path re-examines only what the appends can have changed.
+// After a small append (Arg = appended rows per relation, in tenths of a
+// percent of the planted base), BM_BatchReduce_PathAppend re-runs the full
+// pairwise semijoin fixpoint from scratch. Its delta_rounds / rows_rescanned
+// counters are the work measure of the fixpoint's delta-round schedule.
 //
 // The data is planted-consistent-plus-noise: rows projected from one
 // universal relation (they all survive reduction) mixed with random rows
 // over a disjoint value range (they dangle and are removed again on every
 // batch re-reduce). Purely independent random states are the wrong fixture
 // here — on a 16-relation path they reduce to empty, which makes the
-// "previous fixpoint" trivial and the comparison meaningless.
+// fixpoint trivial.
 //
 // Correctness counters (pinned by scripts/check_bench_counters.py):
 // effective_steps / fixpoint_rows_r0 / delta_rounds / rows_rescanned are
 // seeded, deterministic-mode quantities — identical on every host.
-// plan_cache_hits / state_cache_hits are sign-pinned (POSITIVE_RULES): the
-// repeat-lookup benches exist to demonstrate the hit path, so a family-wide
-// zero means the cache stopped hitting.
+// plan_cache_hits is sign-pinned (POSITIVE_RULES): the repeat-lookup bench
+// exists to demonstrate the hit path, so a family-wide zero means the cache
+// stopped hitting.
 
 #include <benchmark/benchmark.h>
 
@@ -29,7 +26,6 @@
 #include <vector>
 
 #include "cache/plan_cache.h"
-#include "cache/state_cache.h"
 #include "exec/exec_context.h"
 #include "rel/reducer.h"
 #include "rel/universal.h"
@@ -67,13 +63,9 @@ std::vector<Relation> PlantedNoisyStates(const DatabaseSchema& d,
   return base;
 }
 
-// Appends `count` random rows to every relation — the VersionedDatabase
-// evolution step. Values land in the planted band [0, kDomain) (joining the
-// consistent core) or a fresh band [2*kDomain, 3*kDomain) (new dangles),
-// never in the old noise band: an append drawn from the noise band would
-// nominate the entire removed noise mass as revival candidates, turning the
-// delta run back into a batch run. (The revival path itself is exercised by
-// the DeltaReduceTest suite's randomized and planted revival scenarios.)
+// Appends `count` random rows to every relation. Values land in the planted
+// band [0, kDomain) (joining the consistent core) or a fresh band
+// [2*kDomain, 3*kDomain) (new dangles), never in the old noise band.
 void AppendRandomRows(std::vector<Relation>* states, int64_t count,
                       uint64_t seed) {
   Rng rng(seed);
@@ -95,8 +87,8 @@ int64_t AppendedRowsFor(const benchmark::State& state) {
 }
 
 void BM_BatchReduce_PathAppend(benchmark::State& state) {
-  // The non-incremental contender: throw the previous fixpoint away and
-  // re-reduce all of `now` from scratch after the append.
+  // Throw the previous fixpoint away and re-reduce all of `now` from
+  // scratch after the append.
   DatabaseSchema d = PathSchema(kPathRelations + 1);
   std::vector<Relation> now = PlantedNoisyStates(d, 37);
   AppendRandomRows(&now, AppendedRowsFor(state), 101);
@@ -119,115 +111,6 @@ void BM_BatchReduce_PathAppend(benchmark::State& state) {
       static_cast<double>(query_stats.rows_rescanned);
 }
 BENCHMARK(BM_BatchReduce_PathAppend)->Arg(10)->Arg(100);
-
-void BM_DeltaReduce_PathAppend(benchmark::State& state) {
-  // The incremental path: grow-phase revival from the appended rows, then
-  // delta shrink rounds seeded with only the grown relations. Bit-identical
-  // output to the batch run above, at a fraction of the rescanned rows.
-  DatabaseSchema d = PathSchema(kPathRelations + 1);
-  std::vector<Relation> base = PlantedNoisyStates(d, 37);
-  std::vector<Relation> prev_reduced = SemijoinFixpoint(d, base);
-  std::vector<int64_t> prev_num_rows;
-  for (const Relation& rel : base) prev_num_rows.push_back(rel.NumRows());
-  std::vector<Relation> now = std::move(base);
-  AppendRandomRows(&now, AppendedRowsFor(state), 101);
-  exec::QueryStats query_stats;
-  exec::ExecContext ctx;
-  ctx.query_stats = &query_stats;
-  int steps = 0;
-  int64_t rows = 0;
-  for (auto _ : state) {
-    cache::DeltaStats delta;
-    std::vector<Relation> fix = cache::DeltaReduce(
-        d, now, prev_num_rows, prev_reduced, ctx, &steps, &delta);
-    rows = fix[0].NumRows();
-    benchmark::DoNotOptimize(fix);
-  }
-  state.counters["effective_steps"] = static_cast<double>(steps);
-  state.counters["fixpoint_rows_r0"] = static_cast<double>(rows);
-  state.counters["delta_rounds"] =
-      static_cast<double>(query_stats.delta_rounds);
-  state.counters["rows_rescanned"] =
-      static_cast<double>(query_stats.rows_rescanned);
-}
-BENCHMARK(BM_DeltaReduce_PathAppend)->Arg(10)->Arg(100);
-
-void BM_StateCacheExactHit_Repeat(benchmark::State& state) {
-  // The version-exact fast path: an unchanged database answers from the
-  // cache with a copy — no semijoins at all (steps == 0 per lookup).
-  DatabaseSchema d = PathSchema(kPathRelations + 1);
-  cache::VersionedDatabase db(d, PlantedNoisyStates(d, 37));
-  cache::StateCache cache;
-  exec::QueryStats query_stats;
-  exec::ExecContext ctx;
-  ctx.query_stats = &query_stats;
-  cache.GetReduced(db, ctx);  // warm: the one batch reduction
-  int64_t rows = 0;
-  for (auto _ : state) {
-    std::vector<Relation> reduced = cache.GetReduced(db, ctx);
-    rows = reduced[0].NumRows();
-    benchmark::DoNotOptimize(reduced);
-  }
-  GYO_CHECK(cache.stats().hits > 0);
-  state.counters["fixpoint_rows_r0"] = static_cast<double>(rows);
-  state.counters["state_cache_hits"] =
-      static_cast<double>(query_stats.state_cache_hits);
-}
-BENCHMARK(BM_StateCacheExactHit_Repeat);
-
-void BM_StateCacheDeltaRefresh_Append(benchmark::State& state) {
-  // End-to-end cache delta path: each (paused) setup rebuilds a fresh
-  // database + cache and warms it, then the timed lookup sees newer
-  // versions and delta-refreshes. Fresh state every iteration keeps the
-  // counters iteration-count independent, hence pinnable.
-  DatabaseSchema d = PathSchema(9);
-  const std::vector<Relation> base = PlantedNoisyStates(d, 37);
-  std::vector<Relation> appends;
-  {
-    std::vector<Relation> appended = base;
-    AppendRandomRows(&appended, 32, 101);
-    // Keep only the appended suffix of each relation as the Append() batch.
-    for (size_t rel = 0; rel < appended.size(); ++rel) {
-      Relation suffix(d[static_cast<int>(rel)]);
-      const int64_t from = base[rel].NumRows();
-      const int64_t first = suffix.AppendRows(appended[rel].NumRows() - from);
-      for (int c = 0; c < suffix.Arity(); ++c) {
-        Value* col = suffix.ColData(c);
-        const Value* src = appended[rel].ColData(c);
-        for (int64_t i = from; i < appended[rel].NumRows(); ++i) {
-          col[first + (i - from)] = src[i];
-        }
-      }
-      appends.push_back(std::move(suffix));
-    }
-  }
-  exec::QueryStats query_stats;
-  exec::ExecContext ctx;
-  ctx.query_stats = &query_stats;
-  int64_t rows = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    cache::VersionedDatabase db(d, base);
-    cache::StateCache cache;
-    cache.GetReduced(db, ctx);  // warm with the pre-append fixpoint
-    for (size_t rel = 0; rel < appends.size(); ++rel) {
-      db.Append(static_cast<int>(rel), appends[rel]);
-    }
-    state.ResumeTiming();
-    std::vector<Relation> reduced = cache.GetReduced(db, ctx);
-    rows = reduced[0].NumRows();
-    benchmark::DoNotOptimize(reduced);
-    GYO_CHECK(cache.stats().delta_refreshes == 1);
-  }
-  state.counters["fixpoint_rows_r0"] = static_cast<double>(rows);
-  state.counters["state_cache_hits"] =
-      static_cast<double>(query_stats.state_cache_hits);
-  state.counters["delta_rounds"] =
-      static_cast<double>(query_stats.delta_rounds);
-  state.counters["rows_rescanned"] =
-      static_cast<double>(query_stats.rows_rescanned);
-}
-BENCHMARK(BM_StateCacheDeltaRefresh_Append);
 
 void BM_PlanCacheHit_Repeat(benchmark::State& state) {
   // Repeat-query planning: one fingerprint + exact canonical compare + a

@@ -70,49 +70,20 @@ inline double ForkIsolatedPeakRssMb(Workload&& workload) {
 #endif
 }
 
-/// Attaches the memory and pruning counters to `state`: the query's exact
-/// peak of live relation-state bytes, the retired-state count, the Bloom
-/// prune tallies (all from QueryStats), plus the caller's fork-isolated
-/// peak RSS sample. peak_state_bytes and peak_rss_mb are machine/
-/// schedule-dependent and deliberately NOT pinned by
-/// scripts/check_bench_counters.py — they are for reading trends.
-/// retired_states, bloom_partition_skips and probe_rows_pruned are pure
-/// dataflow/data functions at a fixed thread count, so the bench-check pins
-/// them.
+/// Attaches every query counter (GYO_QUERY_COUNTERS, by its table name)
+/// plus the caller's fork-isolated peak RSS sample to `state`. Which of
+/// them scripts/check_bench_counters.py pins is decided there, per counter
+/// family: the pure dataflow/data functions at a fixed thread count are
+/// value-pinned, the scheduling-dependent ones are sign-pinned on the
+/// families built to show them or left unpinned, and peak_state_bytes and
+/// peak_rss_mb (machine/schedule-dependent) are for reading trends only.
 inline void ReportMemCounters(benchmark::State& state,
                               const gyo::exec::QueryStats& query_stats,
                               double peak_rss_mb) {
-  state.counters["peak_state_bytes"] =
-      static_cast<double>(query_stats.peak_state_bytes);
-  state.counters["retired_states"] =
-      static_cast<double>(query_stats.retired_states);
-  state.counters["bloom_partition_skips"] =
-      static_cast<double>(query_stats.bloom_partition_skips);
-  state.counters["probe_rows_pruned"] =
-      static_cast<double>(query_stats.probe_rows_pruned);
-  // Cross-statement pruning: probe rows rejected by sideways-information-
-  // passing filters and probe rows skipped by zone-map disjointness proofs.
-  // Both are pure functions of the seeded data and the plan, but the
-  // bench-check sign-pins rather than value-pins them (on the SipStar and
-  // ZoneMap families respectively) so the benches stay free to re-balance
-  // their fixtures without a baseline churn on every unrelated family.
-  state.counters["sip_rows_pruned"] =
-      static_cast<double>(query_stats.sip_rows_pruned);
-  state.counters["zone_map_skips"] =
-      static_cast<double>(query_stats.zone_map_skips);
+  gyo::exec::ForEachCounter(query_stats, [&](const char* name, int64_t value) {
+    state.counters[name] = static_cast<double>(value);
+  });
   state.counters["peak_rss_mb"] = peak_rss_mb;
-  // Work-stealing scheduler counters. Placement is timing-dependent, so
-  // none of these are pinned exactly; the bench-check only requires
-  // tasks_stolen, summed across the StealImbalance family's thread widths,
-  // to stay positive when the recorded baseline shows stealing (a family-
-  // wide regression to zero would mean the imbalanced partition serialized
-  // on one thread).
-  state.counters["tasks_stolen"] =
-      static_cast<double>(query_stats.tasks_stolen);
-  state.counters["affinity_hits"] =
-      static_cast<double>(query_stats.affinity_hits);
-  state.counters["affinity_misses"] =
-      static_cast<double>(query_stats.affinity_misses);
 }
 
 }  // namespace gyo_bench

@@ -12,7 +12,8 @@
 /// The execution flags shared by the demo CLIs (gyo_cli, query_planner):
 /// --threads N and --max-concurrent-queries M, plus the GYO_EXEC_THREADS
 /// fallback and the ConfigureGlobal call that sizes the process-wide
-/// ExecutorPool. One implementation so the two binaries cannot drift.
+/// ExecutorPool. One implementation so the two binaries cannot drift. Also
+/// the query-counter printer every CLI shares (gyo_client included).
 
 namespace gyo_examples {
 
@@ -62,6 +63,17 @@ inline void ConfigureExecFromFlags(
   gyo::exec::ExecutorPool::ConfigureGlobal(pool_options);
 }
 
+/// Prints every query counter of `stats` as one `name value` line, in
+/// table order (GYO_QUERY_COUNTERS), each line prefixed by `indent`. The one
+/// counter printer of the CLIs: a counter added to the table shows up here
+/// with no edit.
+inline void PrintCounters(const gyo::exec::QueryStats& stats,
+                          const char* indent) {
+  gyo::exec::ForEachCounter(stats, [&](const char* name, int64_t value) {
+    std::printf("%s%s %lld\n", indent, name, static_cast<long long>(value));
+  });
+}
+
 /// Prints the process-wide pool's shape and admission queue state from the
 /// same atomic snapshot the gyo_serve STATUS frame carries
 /// (ExecutorPool::PoolStatus) — every status surface reads one struct, so
@@ -69,10 +81,8 @@ inline void ConfigureExecFromFlags(
 /// looks like. Per-submitter running/queued tallies follow on their own
 /// lines (the queue-depth observable behind backpressure). When the context
 /// carries QueryStats from a completed query, also prints that query's
-/// scheduling counters — steals, partition-affinity hits/misses, and the
-/// admission queue depth it saw on arrival. Only meaningful on the parallel
-/// path — callers skip it when ctx.threads == 1 (serial execution never
-/// touches the pool).
+/// counters. Only meaningful on the parallel path — callers skip it when
+/// ctx.threads == 1 (serial execution never touches the pool).
 inline void PrintPoolStatus(const gyo::exec::ExecContext& ctx) {
   gyo::exec::ExecutorPool& pool =
       ctx.pool != nullptr ? *ctx.pool : gyo::exec::ExecutorPool::Global();
@@ -86,22 +96,7 @@ inline void PrintPoolStatus(const gyo::exec::ExecContext& ctx) {
     std::printf("  submitter %llu: %d running, %d queued\n",
                 static_cast<unsigned long long>(s.id), s.running, s.waiting);
   }
-  if (ctx.query_stats != nullptr) {
-    const gyo::exec::QueryStats& qs = *ctx.query_stats;
-    std::printf(
-        "  scheduling: %lld tasks stolen, affinity %lld hits / %lld misses, "
-        "queue depth at admit %lld\n",
-        static_cast<long long>(qs.tasks_stolen),
-        static_cast<long long>(qs.affinity_hits),
-        static_cast<long long>(qs.affinity_misses),
-        static_cast<long long>(qs.queue_depth_at_admit));
-    std::printf(
-        "  pruning: %lld rows SIP-pruned, %lld zone-map skips, %lld Bloom "
-        "pruned\n",
-        static_cast<long long>(qs.sip_rows_pruned),
-        static_cast<long long>(qs.zone_map_skips),
-        static_cast<long long>(qs.probe_rows_pruned));
-  }
+  if (ctx.query_stats != nullptr) PrintCounters(*ctx.query_stats, "  ");
 }
 
 }  // namespace gyo_examples

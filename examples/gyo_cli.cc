@@ -186,27 +186,10 @@ int Solve(gyo::Catalog& catalog, const gyo::DatabaseSchema& d,
         static_cast<long long>(stats.result_rows),
         match ? "[match]" : "[MISMATCH]");
     if (ctx.threads != 1) {
-      std::printf(
-          "             pool: %.2f ms queued, %.2f ms running, %lld tasks, "
-          "%lld morsels, peak state %lld KiB, %lld states retired\n",
-          query_stats.queue_wait_seconds * 1e3,
-          query_stats.run_time_seconds * 1e3,
-          static_cast<long long>(query_stats.tasks),
-          static_cast<long long>(query_stats.morsels),
-          static_cast<long long>(query_stats.peak_state_bytes / 1024),
-          static_cast<long long>(query_stats.retired_states));
-      std::printf(
-          "             sched: %lld stolen, affinity %lld hits / %lld "
-          "misses, queue depth %lld at admit\n",
-          static_cast<long long>(query_stats.tasks_stolen),
-          static_cast<long long>(query_stats.affinity_hits),
-          static_cast<long long>(query_stats.affinity_misses),
-          static_cast<long long>(query_stats.queue_depth_at_admit));
-      std::printf(
-          "             pruning: %lld SIP, %lld zone-map skips, %lld Bloom\n",
-          static_cast<long long>(query_stats.sip_rows_pruned),
-          static_cast<long long>(query_stats.zone_map_skips),
-          static_cast<long long>(query_stats.probe_rows_pruned));
+      std::printf("             pool: %.2f ms queued, %.2f ms running\n",
+                  query_stats.queue_wait_seconds * 1e3,
+                  query_stats.run_time_seconds * 1e3);
+      gyo_examples::PrintCounters(query_stats, "               ");
     }
   }
   if (ctx.threads != 1) gyo_examples::PrintPoolStatus(ctx);

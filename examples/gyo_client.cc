@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "exec_flags.h"
 #include "rel/universal.h"
 #include "schema/catalog.h"
 #include "schema/parse.h"
@@ -126,21 +127,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(status.protocol_errors),
         status.draining ? " (draining)" : "");
     std::printf(
-        "scheduling: %llu tasks stolen, affinity %llu hits / %llu misses\n",
-        static_cast<unsigned long long>(status.tasks_stolen),
-        static_cast<unsigned long long>(status.affinity_hits),
-        static_cast<unsigned long long>(status.affinity_misses));
-    std::printf(
-        "pruning: %llu rows SIP-pruned, %llu zone-map skips\n",
-        static_cast<unsigned long long>(status.sip_rows_pruned),
-        static_cast<unsigned long long>(status.zone_map_skips));
-    std::printf(
         "caches: plan %llu hits / %llu misses, result %llu hits / %llu "
         "misses\n",
         static_cast<unsigned long long>(status.plan_cache_hits),
         static_cast<unsigned long long>(status.plan_cache_misses),
         static_cast<unsigned long long>(status.result_cache_hits),
         static_cast<unsigned long long>(status.result_cache_misses));
+    std::printf("totals:\n");
+    gyo_examples::PrintCounters(status.totals, "  ");
     return 0;
   }
 
@@ -187,18 +181,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(response.stats.result_rows),
               static_cast<long long>(response.stats.max_intermediate_rows),
               static_cast<long long>(response.stats.total_rows_produced));
-  std::printf(
-      "timing: %.3f ms queued, %.3f ms running, %lld tasks, %lld morsels\n",
-      response.query_stats.queue_wait_seconds * 1e3,
-      response.query_stats.run_time_seconds * 1e3,
-      static_cast<long long>(response.query_stats.tasks),
-      static_cast<long long>(response.query_stats.morsels));
-  std::printf(
-      "pruning: %lld rows SIP-pruned, %lld zone-map skips, %lld Bloom "
-      "pruned\n",
-      static_cast<long long>(response.query_stats.sip_rows_pruned),
-      static_cast<long long>(response.query_stats.zone_map_skips),
-      static_cast<long long>(response.query_stats.probe_rows_pruned));
+  std::printf("timing: %.3f ms queued, %.3f ms running\n",
+              response.query_stats.queue_wait_seconds * 1e3,
+              response.query_stats.run_time_seconds * 1e3);
+  std::printf("counters:\n");
+  gyo_examples::PrintCounters(response.query_stats, "  ");
   if (response.has_plan) {
     std::printf(
         "plan: %s, %d statements, critical path %d, %d sources\n",

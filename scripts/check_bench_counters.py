@@ -44,12 +44,12 @@ from pathlib import Path
 # data, the hash, and the partition count — fixed per bench name (thread
 # count is part of the name), so they pin too; a drift means the Bloom
 # build, the hash kernels, or the partition policy changed.
-# delta_rounds / rows_rescanned are the incremental-maintenance work
-# measures (bench_incremental): fixpoint rounds actually executed and input
-# rows scanned by executed semijoins (+ the grow phase's hash/probe scans).
-# Both are deterministic functions of the seeded start state, so they pin —
-# a drift means the delta-round schedule or the revival grow phase changed
-# how much work an append costs.
+# delta_rounds / rows_rescanned are the semijoin fixpoint's work measures:
+# rounds actually executed and input rows scanned by executed semijoins.
+# Both are deterministic functions of the seeded start state, so they pin
+# wherever a baseline records them — BM_BatchReduce_PathAppend in
+# bench_incremental; a drift means the delta-round schedule changed how
+# much work a re-reduction costs.
 CHECKED_COUNTERS = ("result_rows", "max_intermediate", "queries",
                     "effective_steps", "retired_states",
                     "bloom_partition_skips", "probe_rows_pruned",
@@ -70,11 +70,11 @@ CHECKED_PREFIXES = ("reduced_rows", "fixpoint_rows")
 # legitimately come up zero in a fast run, while a family-wide zero means
 # the mechanism is off. Baselines recorded on hosts where the behavior never
 # triggered leave the constraint vacuous.
-#   * plan_cache_hits / state_cache_hits on the bench_incremental repeat
-#     families — the benches warm a cache and then look up the identical
-#     query/database, so a zero means the hit path is broken (every lookup
-#     silently degraded to a rebuild). Sign-pinned rather than value-pinned
-#     so the benches stay free to report per-lookup verdicts.
+#   * plan_cache_hits on the bench_incremental PlanCacheHit family — the
+#     bench warms the plan cache and then looks up the identical query, so
+#     a zero means the hit path is broken (every lookup silently degraded
+#     to a rebuild). Sign-pinned rather than value-pinned so the bench stays
+#     free to report per-lookup verdicts.
 #   * sip_rows_pruned on the SipStar family — the chain head consults the
 #     tail satellites' Bloom filters; a family-wide zero means sideways
 #     information passing stopped engaging on the shape built for it.
@@ -91,8 +91,6 @@ POSITIVE_RULES = (
      "the overloaded server no longer sheds (backpressure is off)"),
     ("PlanCacheHit", "plan_cache_hits",
      "the warmed plan cache no longer hits on a repeat query"),
-    ("StateCache", "state_cache_hits",
-     "the warmed state cache no longer hits on a repeat lookup"),
 )
 
 

@@ -176,10 +176,5 @@ void PlanCache::Clear() {
   stats_ = PlanCacheStats();
 }
 
-PlanCache& PlanCache::Global() {
-  static PlanCache* cache = new PlanCache(Options());
-  return *cache;
-}
-
 }  // namespace cache
 }  // namespace gyo

@@ -92,10 +92,6 @@ class PlanCache {
   PlanCacheStats stats() const;
   void Clear();
 
-  /// Process-wide cache for CLI / embedding use (gyo_serve instances own
-  /// their caches so tests and tenants stay hermetic).
-  static PlanCache& Global();
-
  private:
   struct Entry {
     Fingerprint key;

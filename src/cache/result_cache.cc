@@ -74,10 +74,5 @@ void ResultCache::Clear() {
   stats_ = ResultCacheStats();
 }
 
-ResultCache& ResultCache::Global() {
-  static ResultCache* cache = new ResultCache(Options());
-  return *cache;
-}
-
 }  // namespace cache
 }  // namespace gyo

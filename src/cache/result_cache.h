@@ -88,8 +88,6 @@ class ResultCache {
   ResultCacheStats stats() const;
   void Clear();
 
-  static ResultCache& Global();
-
  private:
   struct Entry {
     ResultKey key;

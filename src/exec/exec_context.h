@@ -1,6 +1,7 @@
 #ifndef GYO_EXEC_EXEC_CONTEXT_H_
 #define GYO_EXEC_EXEC_CONTEXT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -9,8 +10,97 @@ namespace exec {
 
 class ExecutorPool;
 
+/// The per-query integer counters: one X(name, agg) line per counter, under
+/// its doc comment. This table is the only list of them. It generates the
+/// QueryStats fields, the QueryCounters atomics, Accumulate, ForEachCounter,
+/// and through ForEachCounter the counter blocks of the QUERY_RESPONSE and
+/// STATUS frames and the `name value` lines the CLIs and benches print. The
+/// order is the wire order. `agg` says how two values of a counter combine —
+/// across fixpoint rounds, across served queries, and across the threads
+/// feeding one QueryCounters: kSum adds, kMax keeps the larger.
+// clang-format off
+#define GYO_QUERY_COUNTERS(X)                                                  \
+  /* Statement tasks executed for this query (one per program statement). */   \
+  X(tasks, kSum)                                                               \
+  /* Data morsels dispatched by this query's operator kernels (hash-build      \
+     and probe passes). 0 when every operator ran serially — inputs smaller    \
+     than one morsel, or a single-thread pool. */                              \
+  X(morsels, kSum)                                                             \
+  /* Peak bytes of live relation-state arenas (base copies + statement         \
+     results) during this query's execution. With state retirement (see        \
+     ExecContext::retire_consumed) states are freed as their last reader       \
+     finishes, so this tracks the live frontier rather than the total          \
+     footprint. Note: at threads != 1 the exact peak depends on task           \
+     completion order, so it is reproducible only up to scheduling. */         \
+  X(peak_state_bytes, kMax)                                                    \
+  /* Relation states freed by retirement (0 unless retire_consumed). */        \
+  X(retired_states, kSum)                                                      \
+  /* Probe rows whose key hash one of the partitioned build's own              \
+     per-partition Bloom filters rejected, skipping that partition's           \
+     bucket-chain walk entirely (parallel partitioned builds only; 0 on        \
+     serial runs). Cross-statement pruning is sip_rows_pruned. */              \
+  X(bloom_partition_skips, kSum)                                               \
+  /* Probe rows pruned by any of the kernel's own Bloom filters — the serial   \
+     single-filter rejections plus the partitioned ones above — before a       \
+     bucket chain was walked. Bloom filters have no false negatives, so        \
+     pruning never changes results; this counts saved work only. */            \
+  X(probe_rows_pruned, kSum)                                                   \
+  /* Scheduler jobs of this query executed by a thread other than the one      \
+     whose deque held them (work stealing under imbalance; 0 = perfect         \
+     locality and always 0 on serial runs; shared-overflow pops are not        \
+     steals). Scheduling-dependent, so reproducible only up to placement —     \
+     never pinned as a correctness counter. */                                 \
+  X(tasks_stolen, kSum)                                                        \
+  /* Affinity-tagged probe/dedupe morsels that ran on the worker that built    \
+     their partition (the cache-resident case). hits + misses equals the       \
+     number of affinity-tagged morsels dispatched; the split between them is   \
+     scheduling-dependent. */                                                  \
+  X(affinity_hits, kSum)                                                       \
+  /* Affinity-tagged morsels that ran on some other thread (stolen, or         \
+     claimed by the query's own caller thread). */                             \
+  X(affinity_misses, kSum)                                                     \
+  /* Queries already waiting in the admission controller when this query       \
+     arrived (0 = admitted straight onto a free slot). The queue-pressure      \
+     observable behind queue_wait_seconds; always 0 for serial execution. */   \
+  X(queue_depth_at_admit, kMax)                                                \
+  /* 1 when this query's program/plan came out of the plan cache               \
+     (cache::PlanCache) instead of being rebuilt from the schema; 0 when it    \
+     was built fresh (a miss, or no cache in the path). */                     \
+  X(plan_cache_hits, kSum)                                                     \
+  /* 1 when gyo_serve answered this query from its result cache                \
+     (cache::ResultCache), replaying the memoized result without admission     \
+     or execution; 0 otherwise. Only that hit path sets it. */                 \
+  X(state_cache_hits, kSum)                                                    \
+  /* Semijoin-fixpoint rounds actually executed (SemijoinFixpoint only).       \
+     Under the delta-round schedule a round only processes relations with a    \
+     neighbor that shrank last round. Deterministic for a given start state.   \
+   */                                                                          \
+  X(delta_rounds, kSum)                                                        \
+  /* Input rows scanned by executed fixpoint semijoins (lhs + rhs rows of      \
+     every statement that actually ran) — the work measure of the delta-round  \
+     schedule: skipped clean pairs contribute nothing. Deterministic for a     \
+     given start state. */                                                     \
+  X(rows_rescanned, kSum)                                                      \
+  /* Probe rows pruned by a sideways-information-passing filter: a Bloom       \
+     filter over a LATER chain statement's build side, published through the   \
+     per-query SIP registry (see physical_plan.cc) and consulted before the    \
+     consuming Semijoin's own hash work. No false negatives, so the final      \
+     states are untouched; deterministic at every thread count (the filter     \
+     builds are ordered before their consumers by dependency edges). */        \
+  X(sip_rows_pruned, kSum)                                                     \
+  /* Probe rows skipped by zone-map disjointness: a Semijoin whose key ranges  \
+     in the two inputs provably cannot overlap skips the whole probe (the      \
+     result is empty either way). Counts the probe rows never hashed.          \
+     Deterministic — a pure function of the input states. */                   \
+  X(zone_map_skips, kSum)
+// clang-format on
+
+/// How two values of one counter combine (the `agg` column above).
+enum class CounterAgg { kSum, kMax };
+
 /// Per-query execution metrics reported by the admission-controlled runtime
-/// (see exec/executor_pool.h). All durations are seconds.
+/// (see exec/executor_pool.h). All durations are seconds; the integer
+/// counters come from GYO_QUERY_COUNTERS, in table order.
 struct QueryStats {
   /// Time spent queued in the admission controller before the query was
   /// allowed to run (0 when a slot was free, and always 0 for serial
@@ -20,96 +110,85 @@ struct QueryStats {
   /// Wall time from admission to completion of the last statement.
   double run_time_seconds = 0.0;
 
-  /// Statement tasks executed for this query (one per program statement).
-  int64_t tasks = 0;
-
-  /// Data morsels dispatched by this query's operator kernels (hash-build
-  /// and probe passes). 0 when every operator ran serially — inputs smaller
-  /// than one morsel, or a single-thread pool.
-  int64_t morsels = 0;
-
-  /// Peak bytes of live relation-state arenas (base copies + statement
-  /// results) during this query's execution. With state retirement (see
-  /// ExecContext::retire_consumed) states are freed as their last reader
-  /// finishes, so this tracks the live frontier rather than the total
-  /// footprint. Note: at threads != 1 the exact peak depends on task
-  /// completion order, so it is reproducible only up to scheduling.
-  int64_t peak_state_bytes = 0;
-
-  /// Relation states freed by retirement (0 unless retire_consumed).
-  int64_t retired_states = 0;
-
-  /// Probe rows whose key hash a per-partition Bloom filter rejected in the
-  /// parallel partitioned builds, skipping that partition's bucket-chain
-  /// walk entirely (sideways information passing; 0 on serial runs).
-  int64_t bloom_partition_skips = 0;
-
-  /// Probe rows pruned by any Bloom filter — the serial single-filter
-  /// rejections plus the partitioned ones above — before a bucket chain was
-  /// walked. Bloom filters have no false negatives, so pruning never changes
-  /// results; this counts saved work only.
-  int64_t probe_rows_pruned = 0;
-
-  /// Scheduler jobs of this query executed by a thread other than the one
-  /// whose deque held them (work stealing under imbalance; 0 = perfect
-  /// locality and always 0 on serial runs). Scheduling-dependent, so
-  /// reproducible only up to placement — never pinned as a correctness
-  /// counter.
-  int64_t tasks_stolen = 0;
-
-  /// Affinity-tagged probe/dedupe morsels that ran on the worker that built
-  /// their partition (the cache-resident case). hits + misses equals the
-  /// number of affinity-tagged morsels dispatched; the split between them is
-  /// scheduling-dependent.
-  int64_t affinity_hits = 0;
-
-  /// Affinity-tagged morsels that ran on some other thread (stolen, or
-  /// claimed by the query's own caller thread).
-  int64_t affinity_misses = 0;
-
-  /// Queries already waiting in the admission controller when this query
-  /// arrived (0 = admitted straight onto a free slot). The queue-pressure
-  /// observable behind queue_wait_seconds; always 0 for serial execution.
-  int64_t queue_depth_at_admit = 0;
-
-  /// 1 when this query's program/plan came out of the plan cache
-  /// (cache::PlanCache) instead of being rebuilt from the schema; 0 when it
-  /// was built fresh (a miss, or no cache in the path).
-  int64_t plan_cache_hits = 0;
-
-  /// 1 when this query's reduced states (or its full result, on the serve
-  /// path) came out of a state/result cache — either an exact version match
-  /// or a delta refresh; 0 otherwise.
-  int64_t state_cache_hits = 0;
-
-  /// Semijoin-fixpoint rounds actually executed. Under the delta-round
-  /// schedule a round only processes relations with a neighbor that shrank
-  /// (or grew) last round, so incremental maintenance after a small append
-  /// runs far fewer — and far narrower — rounds than a batch re-reduce.
-  /// Deterministic for a given start state (pinned by bench_incremental).
-  int64_t delta_rounds = 0;
-
-  /// Input rows scanned by executed fixpoint semijoins (lhs + rhs rows of
-  /// every statement that actually ran) plus the rows hashed or probed by
-  /// the incremental grow phase. The work measure behind the delta-vs-batch
-  /// comparison: skipped clean-pair semijoins contribute nothing.
-  /// Deterministic for a given start state.
-  int64_t rows_rescanned = 0;
-
-  /// Probe rows pruned by a sideways-information-passing filter: a Bloom
-  /// filter over a LATER chain statement's build side, published through
-  /// the per-query SIP registry (see physical_plan.cc) and consulted before
-  /// the consuming Semijoin's own hash work. No false negatives, so the
-  /// final states are untouched; deterministic at every thread count (the
-  /// filter builds are ordered before their consumers by dependency edges).
-  int64_t sip_rows_pruned = 0;
-
-  /// Probe rows skipped by zone-map disjointness: a Semijoin whose key
-  /// ranges in the two inputs provably cannot overlap skips the whole probe
-  /// (the result is empty either way). Counts the probe rows never hashed.
-  /// Deterministic — a pure function of the input states.
-  int64_t zone_map_skips = 0;
+#define GYO_COUNTER_FIELD(name, agg) int64_t name = 0;
+  GYO_QUERY_COUNTERS(GYO_COUNTER_FIELD)
+#undef GYO_COUNTER_FIELD
 };
+
+/// Calls f(name, value) for every counter of `stats`, in table order.
+/// `value` is a reference to the field — mutable when `stats` is — so one
+/// loop serves the wire encoder and decoder, the CLI printers and the bench
+/// counters alike.
+template <typename Stats, typename F>
+void ForEachCounter(Stats& stats, F&& f) {
+#define GYO_COUNTER_VISIT(name, agg) f(#name, stats.name);
+  GYO_QUERY_COUNTERS(GYO_COUNTER_VISIT)
+#undef GYO_COUNTER_VISIT
+}
+
+/// Combines one value into another by its counter's aggregation.
+constexpr int64_t CombineCounter(CounterAgg agg, int64_t into, int64_t from) {
+  return agg == CounterAgg::kMax ? (from > into ? from : into) : into + from;
+}
+
+/// Folds `from` into `into`: the durations and the kSum counters add, the
+/// kMax counters keep the larger value.
+inline void Accumulate(QueryStats& into, const QueryStats& from) {
+  into.queue_wait_seconds += from.queue_wait_seconds;
+  into.run_time_seconds += from.run_time_seconds;
+#define GYO_COUNTER_COMBINE(name, agg)                                         \
+  into.name = CombineCounter(CounterAgg::agg, into.name, from.name);
+  GYO_QUERY_COUNTERS(GYO_COUNTER_COMBINE)
+#undef GYO_COUNTER_COMBINE
+}
+
+/// One query's counters as relaxed atomics: the block the scheduler, the
+/// operator kernels, the state tracker and the admission controller all add
+/// to while the query runs (the counts are tallies, not synchronization).
+/// Per-query blocks are held by shared_ptr: queued jobs co-own the block, so
+/// a job that outlives its query (e.g. a no-op morsel left in a parked
+/// worker's deque after every chunk was claimed elsewhere) still writes
+/// safely when it is finally drained. gyo_serve keeps its lifetime totals in
+/// one more block.
+struct QueryCounters {
+#define GYO_COUNTER_ATOMIC(name, agg) std::atomic<int64_t> name{0};
+  GYO_QUERY_COUNTERS(GYO_COUNTER_ATOMIC)
+#undef GYO_COUNTER_ATOMIC
+
+  /// Feeds one value into `counter` by its aggregation: fetch_add for kSum,
+  /// an atomic max for kMax.
+  static void Feed(CounterAgg agg, std::atomic<int64_t>& counter,
+                   int64_t value) {
+    if (agg == CounterAgg::kSum) {
+      counter.fetch_add(value, std::memory_order_relaxed);
+      return;
+    }
+    int64_t seen = counter.load(std::memory_order_relaxed);
+    while (seen < value &&
+           !counter.compare_exchange_weak(seen, value,
+                                          std::memory_order_relaxed)) {
+    }
+  }
+
+  /// The counters' current values (the durations stay 0).
+  QueryStats Snapshot() const {
+    QueryStats stats;
+#define GYO_COUNTER_LOAD(name, agg)                                            \
+  stats.name = name.load(std::memory_order_relaxed);
+    GYO_QUERY_COUNTERS(GYO_COUNTER_LOAD)
+#undef GYO_COUNTER_LOAD
+    return stats;
+  }
+};
+
+/// Folds every counter of `from` into the block, each by its aggregation
+/// (the durations have no atomic slot and are dropped).
+inline void Accumulate(QueryCounters& into, const QueryStats& from) {
+#define GYO_COUNTER_FEED(name, agg)                                            \
+  QueryCounters::Feed(CounterAgg::agg, into.name, from.name);
+  GYO_QUERY_COUNTERS(GYO_COUNTER_FEED)
+#undef GYO_COUNTER_FEED
+}
 
 /// Runtime knobs for executing programs (and the reducer) in parallel.
 /// Default-constructed context is the serial engine: one thread, inline
@@ -131,9 +210,11 @@ struct ExecContext {
   /// When true (default), parallel operators merge their per-morsel outputs
   /// in morsel order, making every produced relation bit-identical — same
   /// physical row order, same canonical flag — to a serial run. This holds
-  /// per query even when many queries share one pool. When false, morsel
-  /// outputs merge in completion order: same set of rows, unspecified
-  /// physical order (and Semijoin no longer propagates canonical form).
+  /// per query even when many queries share one pool. When false, only
+  /// NaturalJoin changes: its morsel outputs merge in completion order (the
+  /// same set of rows in unspecified physical order). Semijoin and Project
+  /// compact survivors in input row order in both modes, so their outputs —
+  /// canonical flag included — do not depend on this flag.
   bool deterministic = true;
 
   /// Pool to run on when threads != 1. nullptr = the lazily-initialized

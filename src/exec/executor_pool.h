@@ -109,8 +109,9 @@ class ExecutorPool {
 
   /// An admission slot, held for the lifetime of one query (RAII: the
   /// destructor releases the slot and wakes the next waiter). Also the
-  /// query's stats accumulator: the exec runtime adds task/morsel counts
-  /// while running and snapshots the result via Finish().
+  /// owner of the query's counter block: the exec runtime, the scheduler
+  /// and the kernels add to it while the query runs, and Finish() snapshots
+  /// it.
   class Admission {
    public:
     ~Admission();
@@ -119,20 +120,14 @@ class ExecutorPool {
 
     TaskScheduler& scheduler() const { return pool_->scheduler_; }
 
-    void AddTasks(int64_t n) {
-      tasks_.fetch_add(n, std::memory_order_relaxed);
-    }
-    /// Incremented by the operator kernels via OpExecOpts::morsel_counter.
-    std::atomic<int64_t>& morsel_counter() { return morsels_; }
-
-    /// This query's scheduling counters (steals, affinity hits/misses).
-    /// The exec runtime hands this to RunGraph and the operator kernels via
-    /// OpExecOpts::steal_stats; Finish() snapshots it into QueryStats.
-    /// Shared ownership: queued jobs co-own the counters, so a job drained
-    /// after this Admission dies (a no-op morsel left in a parked worker's
-    /// deque) never writes through a dangling pointer.
-    const std::shared_ptr<StealStats>& steal_stats() const {
-      return steal_stats_;
+    /// This query's counters. The admission seeds queue_depth_at_admit;
+    /// the exec runtime hands the block to RunGraph and to the operator
+    /// kernels via OpExecOpts::counters. Shared ownership: queued jobs
+    /// co-own the block, so a job drained after this Admission dies (a
+    /// no-op morsel left in a parked worker's deque) never writes through
+    /// a dangling pointer.
+    const std::shared_ptr<QueryCounters>& counters() const {
+      return counters_;
     }
 
     /// Admission-queue wait of this query — the input to the scheduler's
@@ -152,17 +147,17 @@ class ExecutorPool {
         : pool_(pool),
           submitter_(submitter),
           queue_wait_seconds_(queue_wait_seconds),
-          admitted_at_(admitted_at),
-          queue_depth_at_admit_(queue_depth_at_admit) {}
+          admitted_at_(admitted_at) {
+      counters_->queue_depth_at_admit.store(queue_depth_at_admit,
+                                            std::memory_order_relaxed);
+    }
 
     ExecutorPool* pool_;
     uint64_t submitter_;
     double queue_wait_seconds_;
     std::chrono::steady_clock::time_point admitted_at_;
-    int64_t queue_depth_at_admit_;
-    std::atomic<int64_t> tasks_{0};
-    std::atomic<int64_t> morsels_{0};
-    std::shared_ptr<StealStats> steal_stats_ = std::make_shared<StealStats>();
+    std::shared_ptr<QueryCounters> counters_ =
+        std::make_shared<QueryCounters>();
     bool finished_ = false;
     double run_time_seconds_ = 0.0;
   };

@@ -282,7 +282,7 @@ class StateTracker {
 // gets a plan-level priority — the length of its longest downstream
 // dependency chain — so critical-path statements dispatch first when many
 // statements (or many queries) compete for the pool.
-// `steal_stats` (may be null) receives the query's scheduling counters, and
+// The graph feeds op_opts.counters (the query's counter block), and
 // `initial_age_seconds` — the admission-queue wait — ages every statement's
 // priority (TaskScheduler::AgedPriority) so a long-queued query's tail is
 // not starved by deeper plans admitted earlier.
@@ -292,7 +292,6 @@ void RunStatements(const Program& program,
                    std::vector<Relation>& states, TaskScheduler& scheduler,
                    const OpExecOpts& op_opts,
                    std::vector<int64_t>& rows_produced, StateTracker& tracker,
-                   const std::shared_ptr<StealStats>& steal_stats,
                    double initial_age_seconds) {
   const int num_base = program.num_base();
   const int num_statements = program.NumStatements();
@@ -388,7 +387,18 @@ void RunStatements(const Program& program,
         filter_priority);
     for (int c : sf->consumers) graph.AddDependency(c, task);
   }
-  scheduler.RunGraph(graph, steal_stats, initial_age_seconds);
+  scheduler.RunGraph(graph, op_opts.counters, initial_age_seconds);
+}
+
+// Adds what the statement graph leaves behind once it has drained: one task
+// per statement, and the state tracker's retirement count and peak.
+void FinishCounters(QueryCounters& counters, int num_statements,
+                    const StateTracker& tracker) {
+  QueryStats tail;
+  tail.tasks = num_statements;
+  tail.retired_states = tracker.retired();
+  tail.peak_state_bytes = tracker.peak_bytes();
+  Accumulate(counters, tail);
 }
 
 // Shared execution body: used by PhysicalPlan::Execute (compiled plan) and
@@ -438,17 +448,6 @@ std::vector<Relation> ExecuteImpl(const Program& program,
   op_opts.morsel_rows = ctx.morsel_rows;
   op_opts.deterministic = ctx.deterministic;
 
-  // Bloom/SIP/zone prune tallies, fed by both the serial and parallel
-  // kernels; the query's statement tasks share them, so they are atomics.
-  std::atomic<int64_t> bloom_skips{0};
-  std::atomic<int64_t> probe_prunes{0};
-  std::atomic<int64_t> sip_prunes{0};
-  std::atomic<int64_t> zone_skips{0};
-  op_opts.bloom_skip_counter = &bloom_skips;
-  op_opts.probe_prune_counter = &probe_prunes;
-  op_opts.sip_prune_counter = &sip_prunes;
-  op_opts.zone_skip_counter = &zone_skips;
-
   // SIP analysis per execution (it needs the derived schemas, and the
   // filters themselves depend on the actual base states). Filter tasks read
   // their source slot once more than the compile-time reader counts know
@@ -473,38 +472,40 @@ std::vector<Relation> ExecuteImpl(const Program& program,
   StateTracker tracker(states, ctx.retire_consumed, *seed_counts,
                        ctx.retain_states);
 
+  // One counter block per query, fed by the statement tasks, the kernels
+  // and the scheduler. An admission brings its own block, seeded with the
+  // queue depth it saw.
+  auto run_admitted = [&](ExecutorPool::Admission& admission) {
+    op_opts.scheduler = &admission.scheduler();
+    op_opts.counters = admission.counters();
+    RunStatements(program, deps, sip, states, admission.scheduler(), op_opts,
+                  rows_produced, tracker, admission.queue_wait_seconds());
+    FinishCounters(*op_opts.counters, num_statements, tracker);
+    return admission.Finish();
+  };
+  QueryStats query_stats;
   if (admitted != nullptr) {
     // Pre-admitted path (exec::ExecuteAdmitted): the caller already holds a
     // slot — granted by TryAdmit after its deadline/backlog checks — so the
     // query goes straight onto the admission's pool, even a width-1 one
     // (the concurrency cap must keep holding; the caller participates in
     // execution either way).
-    ExecutorPool::Admission& admission = *admitted;
-    op_opts.scheduler = &admission.scheduler();
-    op_opts.morsel_counter = &admission.morsel_counter();
-    op_opts.steal_stats = admission.steal_stats();
-    RunStatements(program, deps, sip, states, admission.scheduler(), op_opts,
-                  rows_produced, tracker, admission.steal_stats(),
-                  admission.queue_wait_seconds());
-    admission.AddTasks(num_statements);
-    if (ctx.query_stats != nullptr) *ctx.query_stats = admission.Finish();
+    query_stats = run_admitted(*admitted);
   } else if (ctx.threads == 1) {
     // Serial specialization (Program::Execute's path): inline execution on
     // the calling thread, no shared pool, no admission control.
     const auto started = std::chrono::steady_clock::now();
     TaskScheduler serial(1);
     op_opts.scheduler = &serial;
+    op_opts.counters = std::make_shared<QueryCounters>();
     RunStatements(program, deps, sip, states, serial, op_opts, rows_produced,
-                  tracker, /*steal_stats=*/nullptr,
-                  /*initial_age_seconds=*/0.0);
-    if (ctx.query_stats != nullptr) {
-      *ctx.query_stats = QueryStats();
-      ctx.query_stats->run_time_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      ctx.query_stats->tasks = num_statements;
-    }
+                  tracker, /*initial_age_seconds=*/0.0);
+    FinishCounters(*op_opts.counters, num_statements, tracker);
+    query_stats = op_opts.counters->Snapshot();
+    query_stats.run_time_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      started)
+            .count();
   } else {
     // Multi-tenant path: admission into the shared pool (ctx.pool, or the
     // process-wide one), then the query's graph runs on the pool's workers
@@ -512,27 +513,9 @@ std::vector<Relation> ExecuteImpl(const Program& program,
     ExecutorPool& pool =
         ctx.pool != nullptr ? *ctx.pool : ExecutorPool::Global();
     ExecutorPool::Admission admission = pool.Admit(ctx.submitter);
-    op_opts.scheduler = &admission.scheduler();
-    op_opts.morsel_counter = &admission.morsel_counter();
-    op_opts.steal_stats = admission.steal_stats();
-    RunStatements(program, deps, sip, states, admission.scheduler(), op_opts,
-                  rows_produced, tracker, admission.steal_stats(),
-                  admission.queue_wait_seconds());
-    admission.AddTasks(num_statements);
-    if (ctx.query_stats != nullptr) *ctx.query_stats = admission.Finish();
+    query_stats = run_admitted(admission);
   }
-  if (ctx.query_stats != nullptr) {
-    ctx.query_stats->peak_state_bytes = tracker.peak_bytes();
-    ctx.query_stats->retired_states = tracker.retired();
-    ctx.query_stats->bloom_partition_skips =
-        bloom_skips.load(std::memory_order_relaxed);
-    ctx.query_stats->probe_rows_pruned =
-        probe_prunes.load(std::memory_order_relaxed);
-    ctx.query_stats->sip_rows_pruned =
-        sip_prunes.load(std::memory_order_relaxed);
-    ctx.query_stats->zone_map_skips =
-        zone_skips.load(std::memory_order_relaxed);
-  }
+  if (ctx.query_stats != nullptr) *ctx.query_stats = query_stats;
 
   if (stats != nullptr) {
     *stats = Program::Stats();

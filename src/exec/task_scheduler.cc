@@ -95,7 +95,7 @@ struct TaskScheduler::GraphRunState {
   // Cached graph->NumTasks(): the final done increment releases the caller
   // to destroy the graph, so nothing may dereference `graph` after it.
   int num_tasks = 0;
-  std::shared_ptr<StealStats> stats;
+  std::shared_ptr<QueryCounters> counters;
   int age_boost = 0;  // AgingBoost of the owning query's admission wait
   std::vector<std::atomic<int>> pending;
   std::atomic<int> done{0};
@@ -137,8 +137,8 @@ int TaskScheduler::CurrentWorkerIndex() const {
 
 void TaskScheduler::Enqueue(int priority, std::function<void()> fn,
                             int affinity,
-                            const std::shared_ptr<StealStats>& stats) {
-  Job job{std::move(fn), stats};
+                            const std::shared_ptr<QueryCounters>& counters) {
+  Job job{std::move(fn), counters};
   // Count the job before it becomes poppable so the idle-sleep predicate
   // (jobs_ > 0) never reads 0 while a pushed job is visible in some queue.
   jobs_.fetch_add(1, std::memory_order_release);
@@ -238,8 +238,8 @@ bool TaskScheduler::AcquireJob(int self, Job* out) {
     if (best_victim < 0) {
       if (PopOverflow(out)) return true;
     } else if (StealFrom(best_victim, out)) {
-      if (out->stats != nullptr) {
-        out->stats->tasks_stolen.fetch_add(1, std::memory_order_relaxed);
+      if (out->counters != nullptr) {
+        out->counters->tasks_stolen.fetch_add(1, std::memory_order_relaxed);
       }
       return true;
     }
@@ -281,7 +281,7 @@ void TaskScheduler::EnqueueGraphTask(
       state->age_boost;
   Enqueue(
       priority, [this, state, id] { RunGraphTask(state, id); },
-      /*affinity=*/-1, state->stats);
+      /*affinity=*/-1, state->counters);
 }
 
 // Executes task `id`: run its fn, release successors whose dependency count
@@ -309,13 +309,13 @@ void TaskScheduler::RunGraph(TaskGraph& graph) {
 }
 
 void TaskScheduler::RunGraph(TaskGraph& graph,
-                             std::shared_ptr<StealStats> stats,
+                             std::shared_ptr<QueryCounters> counters,
                              double initial_age_seconds) {
-  RunGraphImpl(graph, std::move(stats), AgingBoost(initial_age_seconds));
+  RunGraphImpl(graph, std::move(counters), AgingBoost(initial_age_seconds));
 }
 
 void TaskScheduler::RunGraphImpl(TaskGraph& graph,
-                                 std::shared_ptr<StealStats> stats,
+                                 std::shared_ptr<QueryCounters> counters,
                                  int age_boost) {
   const int n = graph.NumTasks();
   if (n == 0) return;
@@ -345,7 +345,7 @@ void TaskScheduler::RunGraphImpl(TaskGraph& graph,
   auto state = std::make_shared<GraphRunState>(static_cast<size_t>(n));
   state->graph = &graph;
   state->num_tasks = n;
-  state->stats = std::move(stats);
+  state->counters = std::move(counters);
   state->age_boost = age_boost;
   for (int i = 0; i < n; ++i) {
     state->pending[static_cast<size_t>(i)].store(
@@ -392,7 +392,7 @@ void TaskScheduler::ParallelFor(int64_t num_chunks,
 
 void TaskScheduler::ParallelFor(int64_t num_chunks,
                                 const std::function<void(int64_t)>& body,
-                                std::shared_ptr<StealStats> stats) {
+                                std::shared_ptr<QueryCounters> counters) {
   if (num_chunks <= 0) return;
   if (threads_ == 1 || num_chunks == 1) {
     for (int64_t c = 0; c < num_chunks; ++c) body(c);
@@ -437,7 +437,7 @@ void TaskScheduler::ParallelFor(int64_t num_chunks,
     std::shared_ptr<PFState> st = state;
     Enqueue(
         kMorselPriority, [st, claim_loop] { claim_loop(st.get()); },
-        /*affinity=*/-1, stats);
+        /*affinity=*/-1, counters);
   }
 
   claim_loop(state.get());
@@ -453,7 +453,7 @@ void TaskScheduler::ParallelFor(int64_t num_chunks,
 void TaskScheduler::ParallelForAffine(int64_t num_chunks,
                                       const std::function<void(int64_t)>& body,
                                       const std::vector<int>& affinity,
-                                      std::shared_ptr<StealStats> stats) {
+                                      std::shared_ptr<QueryCounters> counters) {
   GYO_CHECK_MSG(static_cast<int64_t>(affinity.size()) == num_chunks,
                 "affinity list has %lld entries for %lld chunks",
                 static_cast<long long>(affinity.size()),
@@ -476,7 +476,7 @@ void TaskScheduler::ParallelForAffine(int64_t num_chunks,
     int64_t chunks = 0;
     const std::function<void(int64_t)>* body = nullptr;
     const std::vector<int>* affinity = nullptr;
-    std::shared_ptr<StealStats> stats;
+    std::shared_ptr<QueryCounters> counters;
     const TaskScheduler* scheduler = nullptr;
     std::mutex m;
     std::condition_variable cv;
@@ -490,7 +490,7 @@ void TaskScheduler::ParallelForAffine(int64_t num_chunks,
   state->chunks = num_chunks;
   state->body = &body;
   state->affinity = &affinity;
-  state->stats = stats;
+  state->counters = counters;
   state->scheduler = this;
 
   // Claims and runs chunk `c`; false when someone else got there first.
@@ -503,13 +503,13 @@ void TaskScheduler::ParallelForAffine(int64_t num_chunks,
       return false;
     }
     (*s->body)(c);
-    if (s->stats != nullptr) {
+    if (s->counters != nullptr) {
       const int want = (*s->affinity)[static_cast<size_t>(c)];
       if (want >= 0 && want < s->scheduler->num_workers()) {
         if (want == s->scheduler->CurrentWorkerIndex()) {
-          s->stats->affinity_hits.fetch_add(1, std::memory_order_relaxed);
+          s->counters->affinity_hits.fetch_add(1, std::memory_order_relaxed);
         } else {
-          s->stats->affinity_misses.fetch_add(1, std::memory_order_relaxed);
+          s->counters->affinity_misses.fetch_add(1, std::memory_order_relaxed);
         }
       }
     }
@@ -524,7 +524,7 @@ void TaskScheduler::ParallelForAffine(int64_t num_chunks,
     std::shared_ptr<AffineState> st = state;
     Enqueue(
         kMorselPriority, [st, run_chunk, c] { run_chunk(st.get(), c); },
-        affinity[static_cast<size_t>(c)], stats);
+        affinity[static_cast<size_t>(c)], counters);
   }
 
   // The caller participates: its own-affinity chunks first (it IS the

@@ -13,30 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "exec/exec_context.h"
+
 namespace gyo {
 namespace exec {
-
-/// Per-query scheduling counters, fed by the work-stealing scheduler and
-/// surfaced through QueryStats. All relaxed atomics: the counts are tallies,
-/// not synchronization. Always handled via shared_ptr: queued jobs co-own
-/// the counters, so a job that outlives its query (e.g. a no-op morsel left
-/// in a parked worker's deque after every chunk was claimed elsewhere) can
-/// still be tallied safely when it is finally drained.
-struct StealStats {
-  /// Jobs executed by a thread other than the one whose deque held them
-  /// (any pop from a foreign worker deque; shared-overflow pops are not
-  /// steals). 0 means perfect locality — every job ran where it was placed.
-  std::atomic<int64_t> tasks_stolen{0};
-
-  /// Affinity-tagged chunks (ParallelForAffine) that ran on their preferred
-  /// worker — the one whose cache holds the partition the chunk probes.
-  std::atomic<int64_t> affinity_hits{0};
-
-  /// Affinity-tagged chunks that ran elsewhere (stolen under imbalance, or
-  /// claimed by the participating caller). hits + misses equals the number
-  /// of affinity-tagged chunks dispatched.
-  std::atomic<int64_t> affinity_misses{0};
-};
 
 /// A dependency-counting task DAG, built once and handed to
 /// TaskScheduler::RunGraph. Tasks are identified by the dense int returned
@@ -97,9 +77,9 @@ class TaskGraph {
 /// carries a preferred worker (the one that built the partition the chunk
 /// probes) and is pushed to that worker's deque, so the partition is probed
 /// by the thread whose cache holds it — but remains stealable, so imbalance
-/// never serializes on one hot deque. StealStats counts how often placement
-/// held (affinity_hits) and how often work moved (tasks_stolen,
-/// affinity_misses).
+/// never serializes on one hot deque. The query's QueryCounters count how
+/// often placement held (affinity hits) and how often work moved (steals,
+/// affinity misses).
 ///
 /// ParallelFor morsels run above every graph priority, so in-flight
 /// operators finish before new statements start.
@@ -181,11 +161,11 @@ class TaskScheduler {
   /// once.
   void RunGraph(TaskGraph& graph);
 
-  /// RunGraph with scheduling stats and priority aging: every task
+  /// RunGraph with query counters and priority aging: every task
   /// dispatches at AgedPriority(task priority, initial_age_seconds) — the
   /// admission queue wait of the owning query — and steal counts feed
-  /// `stats` (may be null).
-  void RunGraph(TaskGraph& graph, std::shared_ptr<StealStats> stats,
+  /// `counters` (may be null).
+  void RunGraph(TaskGraph& graph, std::shared_ptr<QueryCounters> counters,
                 double initial_age_seconds);
 
   /// Runs body(chunk) for every chunk in [0, num_chunks), distributing
@@ -198,7 +178,7 @@ class TaskScheduler {
   void ParallelFor(int64_t num_chunks,
                    const std::function<void(int64_t)>& body);
   void ParallelFor(int64_t num_chunks, const std::function<void(int64_t)>& body,
-                   std::shared_ptr<StealStats> stats);
+                   std::shared_ptr<QueryCounters> counters);
 
   /// Affinity-placed variant: chunk c is pushed to worker affinity[c]'s
   /// deque (values outside [0, num_workers()) mean no preference), where
@@ -208,19 +188,19 @@ class TaskScheduler {
   /// chunks itself (its own-affinity chunks first, then the rest in
   /// increasing order — the far end from the owners' LIFO pops). Chunk
   /// execution order is unspecified; with threads() == 1 the loop runs
-  /// inline in increasing chunk order. `stats` (may be null) receives
+  /// inline in increasing chunk order. `counters` (may be null) receives
   /// steal counts plus one affinity hit or miss per affinity-tagged chunk.
   void ParallelForAffine(int64_t num_chunks,
                          const std::function<void(int64_t)>& body,
                          const std::vector<int>& affinity,
-                         std::shared_ptr<StealStats> stats);
+                         std::shared_ptr<QueryCounters> counters);
 
  private:
   struct Job {
     std::function<void()> fn;
-    // Steal tally for this job, may be null. Shared ownership: a job drained
-    // after its query finished still points at live counters.
-    std::shared_ptr<StealStats> stats;
+    // The owning query's counters, may be null. Shared ownership: a job
+    // drained after its query finished still points at live counters.
+    std::shared_ptr<QueryCounters> counters;
   };
   struct WorkerDeque;
   struct GraphRunState;  // shared state of one RunGraph invocation
@@ -231,7 +211,7 @@ class TaskScheduler {
   /// worker's own deque, else the shared overflow queue (always overflow at
   /// threads == 1, preserving the pinned serial drain order).
   void Enqueue(int priority, std::function<void()> fn, int affinity,
-               const std::shared_ptr<StealStats>& stats);
+               const std::shared_ptr<QueryCounters>& counters);
   void PushDeque(int worker, int priority, Job job);
   void PushOverflow(int priority, Job job);
   bool PopOwn(int self, Job* out);       // LIFO from own deque
@@ -243,7 +223,7 @@ class TaskScheduler {
   void WorkerLoop(int index);
   void EnqueueGraphTask(const std::shared_ptr<GraphRunState>& state, int id);
   void RunGraphTask(const std::shared_ptr<GraphRunState>& state, int id);
-  void RunGraphImpl(TaskGraph& graph, std::shared_ptr<StealStats> stats,
+  void RunGraphImpl(TaskGraph& graph, std::shared_ptr<QueryCounters> counters,
                     int age_boost);
 
   const int threads_;

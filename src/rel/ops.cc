@@ -1,6 +1,7 @@
 #include "rel/ops.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <mutex>
 #include <vector>
@@ -10,6 +11,8 @@
 #include "util/check.h"
 
 namespace gyo {
+
+using exec::QueryCounters;
 
 namespace {
 
@@ -189,34 +192,12 @@ inline OpExecOpts ResolveMorselRows(const OpExecOpts& opts, int probe_arity) {
   return resolved;
 }
 
-// Feeds the per-query morsel counter (QueryStats::morsels) when one is
-// attached.
-inline void CountMorsels(const OpExecOpts& opts, int64_t n) {
-  if (opts.morsel_counter != nullptr) {
-    opts.morsel_counter->fetch_add(n, std::memory_order_relaxed);
-  }
-}
-
-// Feeds the Bloom prune counters: `pruned` probe rows rejected before any
-// chain walk, of which `partition_skips` skipped a partitioned-build
-// partition (the parallel path; serial single-filter prunes pass 0).
-inline void CountPrunes(const OpExecOpts& opts, int64_t pruned,
-                        int64_t partition_skips) {
-  if (pruned > 0 && opts.probe_prune_counter != nullptr) {
-    opts.probe_prune_counter->fetch_add(pruned, std::memory_order_relaxed);
-  }
-  if (partition_skips > 0 && opts.bloom_skip_counter != nullptr) {
-    opts.bloom_skip_counter->fetch_add(partition_skips,
-                                       std::memory_order_relaxed);
-  }
-}
-
-// Feeds the SIP prune counter (QueryStats::sip_rows_pruned): probe rows a
-// cross-statement SIP filter rejected before any of this kernel's own
-// Bloom/chain work.
-inline void CountSip(const OpExecOpts& opts, int64_t pruned) {
-  if (pruned > 0 && opts.sip_prune_counter != nullptr) {
-    opts.sip_prune_counter->fetch_add(pruned, std::memory_order_relaxed);
+// Adds `n` to one counter of the query's block (OpExecOpts::counters), when
+// one is attached. Relaxed: the counts are tallies, not synchronization.
+inline void Tally(const OpExecOpts& opts,
+                  std::atomic<int64_t> QueryCounters::*counter, int64_t n) {
+  if (n > 0 && opts.counters != nullptr) {
+    ((*opts.counters).*counter).fetch_add(n, std::memory_order_relaxed);
   }
 }
 
@@ -274,7 +255,8 @@ struct RadixScatter {
                  : PartitionBitsForBuild(opts.scheduler->threads(), n)) {
     const int64_t parts = int64_t{1} << bits;
     const int64_t morsels = NumMorsels(n, opts.morsel_rows);
-    CountMorsels(opts, 2 * morsels);  // the counting and scatter passes
+    // The counting and scatter passes.
+    Tally(opts, &QueryCounters::morsels, 2 * morsels);
     hashes.resize(static_cast<size_t>(n));
     std::vector<int64_t> counts(static_cast<size_t>(morsels * parts), 0);
     opts.scheduler->ParallelFor(morsels, [&](int64_t m) {
@@ -285,7 +267,7 @@ struct RadixScatter {
       for (int64_t i = lo; i < hi; ++i) {
         ++mine[PartitionOf(hashes[static_cast<size_t>(i)], bits)];
       }
-    }, opts.steal_stats);
+    }, opts.counters);
     std::vector<int64_t> cursors(static_cast<size_t>(morsels * parts));
     part_begin.resize(static_cast<size_t>(parts) + 1);
     int64_t off = 0;
@@ -306,7 +288,7 @@ struct RadixScatter {
         const size_t p = PartitionOf(hashes[static_cast<size_t>(i)], bits);
         row_ids[static_cast<size_t>(mine[p]++)] = i;
       }
-    }, opts.steal_stats);
+    }, opts.counters);
   }
 
   int num_partitions() const { return 1 << bits; }
@@ -373,7 +355,7 @@ class PartitionedColumnIndex {
         index.Add(row, h);
         if (use_bloom_) bloom.Add(h);
       }
-    }, opts.steal_stats);
+    }, opts.counters);
   }
 
   // The partition index responsible for probe-key hash `h`, or nullptr when
@@ -527,13 +509,13 @@ Relation Project(const Relation& r, const AttrSet& x,
       seen.Add(i, h);
       survives[static_cast<size_t>(i)] = 1;
     }
-  }, opts.steal_stats);
+  }, opts.counters);
 
   // Compaction: per-morsel survivor selection vectors, prefix sum, then
   // parallel per-column gathers into disjoint ranges of the output arenas,
   // in row order. Two morsel passes, counted like RadixScatter's.
   const int64_t chunks = NumMorsels(n, opts.morsel_rows);
-  CountMorsels(opts, 2 * chunks);
+  Tally(opts, &QueryCounters::morsels, 2 * chunks);
   std::vector<std::vector<int64_t>> selected(static_cast<size_t>(chunks));
   opts.scheduler->ParallelFor(chunks, [&](int64_t c) {
     const int64_t lo = c * opts.morsel_rows;
@@ -542,7 +524,7 @@ Relation Project(const Relation& r, const AttrSet& x,
     for (int64_t i = lo; i < hi; ++i) {
       if (survives[static_cast<size_t>(i)]) sel.push_back(i);
     }
-  }, opts.steal_stats);
+  }, opts.counters);
   std::vector<int64_t> offsets(static_cast<size_t>(chunks) + 1, 0);
   for (int64_t c = 0; c < chunks; ++c) {
     offsets[static_cast<size_t>(c) + 1] =
@@ -558,7 +540,7 @@ Relation Project(const Relation& r, const AttrSet& x,
       GatherColumn(r.ColData(cols[k]), sel,
                    out.ColData(static_cast<int>(k)) + dst);
     }
-  }, opts.steal_stats);
+  }, opts.counters);
   return out;
 }
 
@@ -641,7 +623,7 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
                       build_ids.push_back(j);
                     });
                   });
-    CountPrunes(opts, pruned, 0);
+    Tally(opts, &QueryCounters::probe_rows_pruned, pruned);
     const int64_t base =
         out.AppendRows(static_cast<int64_t>(probe_ids.size()));
     GatherPairs(probe_ids, build_ids, base);
@@ -678,7 +660,7 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
     }
   }
   const int64_t chunks = static_cast<int64_t>(probe_chunks.size());
-  CountMorsels(opts, chunks);
+  Tally(opts, &QueryCounters::morsels, chunks);
   std::vector<std::vector<int64_t>> probe_ids(static_cast<size_t>(chunks));
   std::vector<std::vector<int64_t>> build_ids(static_cast<size_t>(chunks));
   MergeOrder merge(chunks, opts.deterministic);
@@ -712,10 +694,11 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
         if (opts.deterministic) {
           for (int64_t p : pids) ++row_matches[static_cast<size_t>(p)];
         }
-        CountPrunes(opts, pruned, pruned);
+        Tally(opts, &QueryCounters::probe_rows_pruned, pruned);
+        Tally(opts, &QueryCounters::bloom_partition_skips, pruned);
         merge.Record(c);
       },
-      affinity, opts.steal_stats);
+      affinity, opts.counters);
 
   if (opts.deterministic) {
     // Exclusive prefix sum over global probe-row order: row i's matches
@@ -752,7 +735,7 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
           out_col[dst[t]] = col[static_cast<size_t>(ids[t])];
         }
       }
-    }, opts.steal_stats);
+    }, opts.counters);
     return out;
   }
 
@@ -768,7 +751,7 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
     GatherPairs(probe_ids[static_cast<size_t>(c)],
                 build_ids[static_cast<size_t>(c)],
                 base + offsets[static_cast<size_t>(pos)]);
-  }, opts.steal_stats);
+  }, opts.counters);
   return out;
 }
 
@@ -801,10 +784,7 @@ Relation Semijoin(const Relation& r, const Relation& s,
     if (r.ZoneRange(r_cols[k], &rmin, &rmax) &&
         s.ZoneRange(s_cols[k], &smin, &smax) &&
         (rmax < smin || smax < rmin)) {
-      if (opts.zone_skip_counter != nullptr) {
-        opts.zone_skip_counter->fetch_add(r.NumRows(),
-                                          std::memory_order_relaxed);
-      }
+      Tally(opts, &QueryCounters::zone_map_skips, r.NumRows());
       return out;
     }
   }
@@ -842,8 +822,8 @@ Relation Semijoin(const Relation& r, const Relation& s,
                       selected.push_back(i);
                     }
                   });
-    CountPrunes(opts, pruned, 0);
-    CountSip(opts, sip_pruned);
+    Tally(opts, &QueryCounters::probe_rows_pruned, pruned);
+    Tally(opts, &QueryCounters::sip_rows_pruned, sip_pruned);
     const int64_t base =
         out.AppendRows(static_cast<int64_t>(selected.size()));
     GatherSelected(selected, base);
@@ -888,7 +868,8 @@ Relation Semijoin(const Relation& r, const Relation& s,
       affinity.push_back(index.builder(p));
     }
   }
-  CountMorsels(opts, static_cast<int64_t>(probe_chunks.size()));
+  Tally(opts, &QueryCounters::morsels,
+        static_cast<int64_t>(probe_chunks.size()));
   std::vector<uint8_t> survives(static_cast<size_t>(n), 0);
   opts.scheduler->ParallelForAffine(
       static_cast<int64_t>(probe_chunks.size()),
@@ -912,15 +893,16 @@ Relation Semijoin(const Relation& r, const Relation& s,
             survives[static_cast<size_t>(i)] = 1;
           }
         }
-        CountPrunes(opts, pruned, pruned);
-        CountSip(opts, sip_pruned);
+        Tally(opts, &QueryCounters::probe_rows_pruned, pruned);
+        Tally(opts, &QueryCounters::bloom_partition_skips, pruned);
+        Tally(opts, &QueryCounters::sip_rows_pruned, sip_pruned);
       },
-      affinity, opts.steal_stats);
+      affinity, opts.counters);
 
   // Compaction in input row order (same two-pass shape as Project's):
   // per-morsel survivor selection vectors, prefix sum, parallel gathers.
   const int64_t chunks = NumMorsels(n, opts.morsel_rows);
-  CountMorsels(opts, 2 * chunks);
+  Tally(opts, &QueryCounters::morsels, 2 * chunks);
   std::vector<std::vector<int64_t>> selected(static_cast<size_t>(chunks));
   opts.scheduler->ParallelFor(chunks, [&](int64_t c) {
     const int64_t lo = c * opts.morsel_rows;
@@ -929,7 +911,7 @@ Relation Semijoin(const Relation& r, const Relation& s,
     for (int64_t i = lo; i < hi; ++i) {
       if (survives[static_cast<size_t>(i)]) sel.push_back(i);
     }
-  }, opts.steal_stats);
+  }, opts.counters);
   std::vector<int64_t> offsets(static_cast<size_t>(chunks) + 1, 0);
   for (int64_t c = 0; c < chunks; ++c) {
     offsets[static_cast<size_t>(c) + 1] =
@@ -941,7 +923,7 @@ Relation Semijoin(const Relation& r, const Relation& s,
     const std::vector<int64_t>& sel = selected[static_cast<size_t>(c)];
     if (sel.empty()) return;
     GatherSelected(sel, base + offsets[static_cast<size_t>(c)]);
-  }, opts.steal_stats);
+  }, opts.counters);
   // Row-ordered compaction of a canonical input is still a subsequence —
   // in both determinism modes (the survivor bitmap erases scheduling order).
   if (r.IsCanonical()) out.MarkCanonical();

@@ -2,7 +2,6 @@
 #define GYO_REL_OPS_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -15,7 +14,7 @@ namespace gyo {
 
 namespace exec {
 class TaskScheduler;
-struct StealStats;
+struct QueryCounters;
 }  // namespace exec
 
 class BloomFilter;
@@ -58,25 +57,13 @@ struct OpExecOpts {
   /// order-preserving in both modes — their compactions gather survivors in
   /// input row order — so only NaturalJoin's output order depends on this.)
   bool deterministic = true;
-  /// When non-null, the kernels add every data morsel they dispatch
-  /// (hash-build and probe passes) — the ExecutorPool's per-query
-  /// QueryStats::morsels feed.
-  std::atomic<int64_t>* morsel_counter = nullptr;
-  /// When non-null, probe rows whose key hash a partition Bloom filter
-  /// rejects (parallel partitioned builds only) are tallied here — the
-  /// QueryStats::bloom_partition_skips feed.
-  std::atomic<int64_t>* bloom_skip_counter = nullptr;
-  /// When non-null, every probe row a Bloom filter prunes before any
-  /// bucket-chain walk (serial single-filter and parallel per-partition
-  /// rejections alike) is tallied here — the QueryStats::probe_rows_pruned
-  /// feed.
-  std::atomic<int64_t>* probe_prune_counter = nullptr;
-  /// When non-null, the kernels' parallel loops tally work stealing and
-  /// partition-affinity hits/misses here (the QueryStats::tasks_stolen /
-  /// affinity_* feeds). Purely observational — placement never changes
-  /// results. Shared ownership: queued jobs co-own the counters, so a job
-  /// drained after the owning query finished never dangles.
-  std::shared_ptr<exec::StealStats> steal_stats;
+  /// When non-null, the query's counter block: the kernels add the morsels
+  /// they dispatch, their Bloom, SIP and zone-map pruning, and (through the
+  /// scheduler's parallel loops) steals and partition-affinity hits and
+  /// misses. Purely observational — counting never changes results. Shared
+  /// ownership: queued jobs co-own the block, so a job drained after the
+  /// owning query finished never dangles.
+  std::shared_ptr<exec::QueryCounters> counters;
   /// Sideways-information-passing filters (exec/physical_plan.cc): Bloom
   /// filters built over a LATER chain statement's build side, keyed on the
   /// same attributes (in the same sorted order) as this Semijoin's probe
@@ -85,14 +72,6 @@ struct OpExecOpts {
   /// here never changes the final states (no false negatives). Consulted by
   /// Semijoin only; nullptr (the default) disables SIP.
   const std::vector<const BloomFilter*>* sip_filters = nullptr;
-  /// When non-null, probe rows a SIP filter rejects are tallied here — the
-  /// QueryStats::sip_rows_pruned feed (separate from probe_rows_pruned,
-  /// which stays the kernel's OWN Bloom pruning).
-  std::atomic<int64_t>* sip_prune_counter = nullptr;
-  /// When non-null, probe rows skipped by a zone-map disjointness proof
-  /// (Semijoin key ranges that cannot overlap skip the whole probe) are
-  /// tallied here — the QueryStats::zone_map_skips feed.
-  std::atomic<int64_t>* zone_skip_counter = nullptr;
 };
 
 /// Morsel-size auto-tuning (used when OpExecOpts/ExecContext leave

@@ -65,22 +65,19 @@ std::optional<std::vector<Relation>> ApplyFullReducer(
 
 namespace {
 
-// The delta-round fixpoint body shared by SemijoinFixpoint (first round =
-// every relation) and SemijoinFixpointFrom (first round = the caller's
-// grown relations). `process_first[i]` gates relation i's chain in round
-// one, where a processed relation semijoins against ALL its neighbors;
-// every later round re-semijoins a relation only against the neighbors
-// that shrank in the previous round. Skipped pairs are no-ops by the clean
-// -pair invariant — Ri ⋉ Rj removes nothing until Rj shrinks again after
-// the pair was last applied — so states and effective-step counts are
-// bit-identical to the dense every-pair-every-round schedule.
+// The delta-round fixpoint body behind every SemijoinFixpoint overload.
+// Round one semijoins every relation against ALL its neighbors; every later
+// round re-semijoins a relation only against the neighbors that shrank in
+// the previous round. Skipped pairs are no-ops by the clean-pair invariant
+// — Ri ⋉ Rj removes nothing until Rj shrinks again after the pair was last
+// applied — so states and effective-step counts are bit-identical to the
+// dense every-pair-every-round schedule.
 //
 // Consumes `out`: every round moves the states through the exec runtime's
 // moving entry point instead of deep-copying the bases (QueryStats'
 // rows_rescanned measures the scans that remain).
 std::vector<Relation> FixpointRounds(const DatabaseSchema& d,
                                      std::vector<Relation> out,
-                                     const std::vector<char>& process_first,
                                      const exec::ExecContext& ctx,
                                      int* steps) {
   GYO_CHECK(static_cast<int>(out.size()) == d.NumRelations());
@@ -120,18 +117,18 @@ std::vector<Relation> FixpointRounds(const DatabaseSchema& d,
   std::vector<int64_t> pre_rows(static_cast<size_t>(n), 0);
   std::vector<int> result_id(static_cast<size_t>(n), 0);
   while (true) {
-    // Compile this round's dirty pairs: in round one, chains for the
-    // first-round relations over all their neighbors; afterwards, chains
-    // over the neighbors that shrank last round (a Jacobi round — every rhs
-    // is a base id, so chains stay mutually independent and the whole round
-    // is one task wave).
+    // Compile this round's dirty pairs: in round one, every relation's
+    // chain over all its neighbors; afterwards, chains over the neighbors
+    // that shrank last round (a Jacobi round — every rhs is a base id, so
+    // chains stay mutually independent and the whole round is one task
+    // wave).
     Program program(n);
     for (int i = 0; i < n; ++i) {
       int acc = i;
       for (int j : nbrs[static_cast<size_t>(i)]) {
-        const bool dirty = first ? process_first[static_cast<size_t>(i)] != 0
-                                 : shrank[static_cast<size_t>(j)] != 0;
-        if (dirty) acc = program.AddSemijoin(acc, j);
+        if (first || shrank[static_cast<size_t>(j)] != 0) {
+          acc = program.AddSemijoin(acc, j);
+        }
       }
       result_id[static_cast<size_t>(i)] = acc;
     }
@@ -144,24 +141,7 @@ std::vector<Relation> FixpointRounds(const DatabaseSchema& d,
 
     std::vector<Relation> all =
         exec::Execute(program, std::move(out), round_ctx);
-    if (ctx.query_stats != nullptr) {
-      total_stats.queue_wait_seconds += round_stats.queue_wait_seconds;
-      total_stats.run_time_seconds += round_stats.run_time_seconds;
-      total_stats.tasks += round_stats.tasks;
-      total_stats.morsels += round_stats.morsels;
-      total_stats.peak_state_bytes = std::max(total_stats.peak_state_bytes,
-                                              round_stats.peak_state_bytes);
-      total_stats.bloom_partition_skips += round_stats.bloom_partition_skips;
-      total_stats.probe_rows_pruned += round_stats.probe_rows_pruned;
-      total_stats.sip_rows_pruned += round_stats.sip_rows_pruned;
-      total_stats.zone_map_skips += round_stats.zone_map_skips;
-      total_stats.tasks_stolen += round_stats.tasks_stolen;
-      total_stats.affinity_hits += round_stats.affinity_hits;
-      total_stats.affinity_misses += round_stats.affinity_misses;
-      // queue_depth_at_admit is not summed: keep the worst (deepest) round.
-      total_stats.queue_depth_at_admit = std::max(
-          total_stats.queue_depth_at_admit, round_stats.queue_depth_at_admit);
-    }
+    if (ctx.query_stats != nullptr) exec::Accumulate(total_stats, round_stats);
     for (int k = 0; k < program.NumStatements(); ++k) {
       const Program::Statement& s =
           program.Statements()[static_cast<size_t>(k)];
@@ -210,31 +190,14 @@ std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
                                        const std::vector<Relation>& states,
                                        const exec::ExecContext& ctx,
                                        int* steps) {
-  return FixpointRounds(
-      d, states, std::vector<char>(states.size(), 1), ctx, steps);
+  return FixpointRounds(d, states, ctx, steps);
 }
 
 std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
                                        std::vector<Relation>&& states,
                                        const exec::ExecContext& ctx,
                                        int* steps) {
-  const size_t n = states.size();
-  return FixpointRounds(d, std::move(states), std::vector<char>(n, 1), ctx,
-                        steps);
-}
-
-std::vector<Relation> SemijoinFixpointFrom(const DatabaseSchema& d,
-                                           std::vector<Relation> states,
-                                           const std::vector<int>& first_round,
-                                           const exec::ExecContext& ctx,
-                                           int* steps) {
-  std::vector<char> process(states.size(), 0);
-  for (int i : first_round) {
-    GYO_CHECK_MSG(i >= 0 && static_cast<size_t>(i) < states.size(),
-                  "first_round relation id %d out of range", i);
-    process[static_cast<size_t>(i)] = 1;
-  }
-  return FixpointRounds(d, std::move(states), process, ctx, steps);
+  return FixpointRounds(d, std::move(states), ctx, steps);
 }
 
 }  // namespace gyo

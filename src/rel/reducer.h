@@ -79,22 +79,6 @@ std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
                                        const exec::ExecContext& ctx,
                                        int* steps = nullptr);
 
-/// The incremental entry point behind delta invalidation (cache/state_cache):
-/// runs the delta-round schedule from `states`, but the first round
-/// processes only the relations listed in `first_round` (each against all
-/// of its neighbors); later rounds are the usual shrunk-neighbor delta
-/// rounds. Sound whenever every pair (i, j) with i ∉ first_round is already
-/// clean — i.e. Ri ⋉ Rj would remove nothing — which holds when `states` is
-/// a previous fixpoint in which only the first_round relations have since
-/// gained rows (appends and revival candidates: growing a rhs never
-/// invalidates a clean pair, and the grown lhs rows are exactly what round
-/// one re-checks). With first_round = {0..n-1} this is SemijoinFixpoint.
-std::vector<Relation> SemijoinFixpointFrom(const DatabaseSchema& d,
-                                           std::vector<Relation> states,
-                                           const std::vector<int>& first_round,
-                                           const exec::ExecContext& ctx,
-                                           int* steps = nullptr);
-
 }  // namespace gyo
 
 #endif  // GYO_REL_REDUCER_H_

@@ -135,6 +135,21 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
+// The counter block of QUERY_RESPONSE and STATUS: every query counter as a
+// zigzag varint, in GYO_QUERY_COUNTERS order.
+void WriteCounters(Writer& w, const exec::QueryStats& stats) {
+  exec::ForEachCounter(stats,
+                       [&w](const char*, int64_t value) { w.Zigzag(value); });
+}
+
+bool ReadCounters(Reader& r, exec::QueryStats* stats) {
+  bool ok = true;
+  exec::ForEachCounter(*stats, [&](const char*, int64_t& value) {
+    ok = ok && r.Zigzag(&value);
+  });
+  return ok;
+}
+
 }  // namespace
 
 const char* ErrorCodeName(ErrorCode code) {
@@ -401,25 +416,9 @@ std::vector<uint8_t> EncodeQueryResponse(const QueryResponse& response,
   w.Zigzag(response.stats.max_intermediate_rows);
   w.Zigzag(response.stats.total_rows_produced);
   w.Zigzag(response.stats.result_rows);
-  const exec::QueryStats& q = response.query_stats;
-  w.F64(q.queue_wait_seconds);
-  w.F64(q.run_time_seconds);
-  w.Zigzag(q.tasks);
-  w.Zigzag(q.morsels);
-  w.Zigzag(q.peak_state_bytes);
-  w.Zigzag(q.retired_states);
-  w.Zigzag(q.bloom_partition_skips);
-  w.Zigzag(q.probe_rows_pruned);
-  w.Zigzag(q.tasks_stolen);
-  w.Zigzag(q.affinity_hits);
-  w.Zigzag(q.affinity_misses);
-  w.Zigzag(q.queue_depth_at_admit);
-  w.Zigzag(q.plan_cache_hits);
-  w.Zigzag(q.state_cache_hits);
-  w.Zigzag(q.delta_rounds);
-  w.Zigzag(q.rows_rescanned);
-  w.Zigzag(q.sip_rows_pruned);
-  w.Zigzag(q.zone_map_skips);
+  w.F64(response.query_stats.queue_wait_seconds);
+  w.F64(response.query_stats.run_time_seconds);
+  WriteCounters(w, response.query_stats);
   if (response.has_plan) {
     w.Varint(static_cast<uint64_t>(response.plan.num_statements));
     w.Varint(static_cast<uint64_t>(response.plan.critical_path));
@@ -450,15 +449,11 @@ std::vector<uint8_t> EncodeStatusResponse(const StatusResponse& status) {
   w.Varint(status.queries_shed_backlog);
   w.Varint(status.protocol_errors);
   w.U8(status.draining ? 1 : 0);
-  w.Varint(status.tasks_stolen);
-  w.Varint(status.affinity_hits);
-  w.Varint(status.affinity_misses);
-  w.Varint(status.sip_rows_pruned);
-  w.Varint(status.zone_map_skips);
   w.Varint(status.plan_cache_hits);
   w.Varint(status.plan_cache_misses);
   w.Varint(status.result_cache_hits);
   w.Varint(status.result_cache_misses);
+  WriteCounters(w, status.totals);
   return w.Finish();
 }
 
@@ -535,15 +530,7 @@ bool DecodeQueryResponse(const uint8_t* body, size_t size,
   if (!r.Zigzag(&resp.stats.max_intermediate_rows) ||
       !r.Zigzag(&resp.stats.total_rows_produced) ||
       !r.Zigzag(&resp.stats.result_rows) || !r.F64(&q.queue_wait_seconds) ||
-      !r.F64(&q.run_time_seconds) || !r.Zigzag(&q.tasks) ||
-      !r.Zigzag(&q.morsels) || !r.Zigzag(&q.peak_state_bytes) ||
-      !r.Zigzag(&q.retired_states) || !r.Zigzag(&q.bloom_partition_skips) ||
-      !r.Zigzag(&q.probe_rows_pruned) || !r.Zigzag(&q.tasks_stolen) ||
-      !r.Zigzag(&q.affinity_hits) || !r.Zigzag(&q.affinity_misses) ||
-      !r.Zigzag(&q.queue_depth_at_admit) || !r.Zigzag(&q.plan_cache_hits) ||
-      !r.Zigzag(&q.state_cache_hits) || !r.Zigzag(&q.delta_rounds) ||
-      !r.Zigzag(&q.rows_rescanned) || !r.Zigzag(&q.sip_rows_pruned) ||
-      !r.Zigzag(&q.zone_map_skips)) {
+      !r.F64(&q.run_time_seconds) || !ReadCounters(r, &q)) {
     return SetError(error, "truncated query response");
   }
   if (resp.has_plan) {
@@ -595,11 +582,9 @@ bool DecodeStatusResponse(const uint8_t* body, size_t size,
       !r.Varint(&s.connections_active) || !r.Varint(&s.queries_served) ||
       !r.Varint(&s.queries_shed_deadline) ||
       !r.Varint(&s.queries_shed_backlog) || !r.Varint(&s.protocol_errors) ||
-      !r.U8(&draining) || draining > 1 || !r.Varint(&s.tasks_stolen) ||
-      !r.Varint(&s.affinity_hits) || !r.Varint(&s.affinity_misses) ||
-      !r.Varint(&s.sip_rows_pruned) || !r.Varint(&s.zone_map_skips) ||
-      !r.Varint(&s.plan_cache_hits) || !r.Varint(&s.plan_cache_misses) ||
-      !r.Varint(&s.result_cache_hits) || !r.Varint(&s.result_cache_misses)) {
+      !r.U8(&draining) || draining > 1 || !r.Varint(&s.plan_cache_hits) ||
+      !r.Varint(&s.plan_cache_misses) || !r.Varint(&s.result_cache_hits) ||
+      !r.Varint(&s.result_cache_misses) || !ReadCounters(r, &s.totals)) {
     return SetError(error, "truncated status counters");
   }
   s.draining = draining != 0;

@@ -150,15 +150,10 @@ struct StatusResponse {
   uint64_t queries_shed_backlog = 0;
   uint64_t protocol_errors = 0;
   bool draining = false;
-  /// Scheduling totals accumulated over served queries.
-  uint64_t tasks_stolen = 0;
-  uint64_t affinity_hits = 0;
-  uint64_t affinity_misses = 0;
-  /// Pruning totals accumulated over served queries: probe rows rejected by
-  /// sideways-information-passing filters and probe rows skipped by
-  /// zone-map disjointness proofs (see exec::QueryStats).
-  uint64_t sip_rows_pruned = 0;
-  uint64_t zone_map_skips = 0;
+  /// Every query counter (GYO_QUERY_COUNTERS), aggregated over the queries
+  /// that reached encoding by each counter's rule: summed, or the maximum
+  /// for the kMax entries. The two durations are not carried (always 0).
+  exec::QueryStats totals;
   /// Cache counters — all zero while the corresponding cache is disabled.
   /// Plan hits/misses count plan-cache lookups (one per decoded query);
   /// result hits/misses count full-answer lookups (deterministic queries

@@ -44,6 +44,9 @@ bool SysError(std::string* error, const char* what) {
 /// Poll timeout while accept() is backing off from descriptor exhaustion.
 constexpr int kAcceptBackoffMs = 100;
 
+/// listen(2) backlog.
+constexpr int kListenBacklog = 64;
+
 // The wire strategy enum and the plan cache's mirror must agree value for
 // value — requests are static_cast between them.
 static_assert(static_cast<uint8_t>(Strategy::kAuto) ==
@@ -184,11 +187,9 @@ class Server::Impl {
   std::atomic<uint64_t> queries_shed_deadline_{0};
   std::atomic<uint64_t> queries_shed_backlog_{0};
   std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> tasks_stolen_{0};
-  std::atomic<uint64_t> affinity_hits_{0};
-  std::atomic<uint64_t> affinity_misses_{0};
-  std::atomic<uint64_t> sip_rows_pruned_{0};
-  std::atomic<uint64_t> zone_map_skips_{0};
+  // Every query counter, summed (or maxed) over the queries that reached
+  // encoding — executed or replayed from the result cache.
+  exec::QueryCounters totals_;
 
   DrainReport report_;
 };
@@ -221,7 +222,7 @@ bool Server::Impl::Start(std::string* error, int* port) {
       0) {
     return SysError(error, "bind");
   }
-  if (::listen(listen_fd_, options_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     return SysError(error, "listen");
   }
   if (!SetNonBlocking(listen_fd_)) return SysError(error, "fcntl(listen)");
@@ -278,11 +279,7 @@ StatusResponse Server::Impl::Status() const {
       queries_shed_backlog_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.draining = draining_.load(std::memory_order_acquire);
-  s.tasks_stolen = tasks_stolen_.load(std::memory_order_relaxed);
-  s.affinity_hits = affinity_hits_.load(std::memory_order_relaxed);
-  s.affinity_misses = affinity_misses_.load(std::memory_order_relaxed);
-  s.sip_rows_pruned = sip_rows_pruned_.load(std::memory_order_relaxed);
-  s.zone_map_skips = zone_map_skips_.load(std::memory_order_relaxed);
+  s.totals = totals_.Snapshot();
   if (plan_cache_ != nullptr) {
     const cache::PlanCacheStats plan = plan_cache_->stats();
     s.plan_cache_hits = plan.hits;
@@ -672,6 +669,7 @@ void Server::Impl::RunQuery(uint64_t conn_id, std::vector<uint8_t> payload) {
       resp.stats = cached->stats;
       resp.query_stats.state_cache_hits = 1;
       resp.query_stats.plan_cache_hits = plan_hit ? 1 : 0;
+      exec::Accumulate(totals_, resp.query_stats);
       if (req.want_plan) {
         if (!plan.has_value()) {
           plan.emplace(exec::PhysicalPlan::Compile(program));
@@ -720,7 +718,6 @@ void Server::Impl::RunQuery(uint64_t conn_id, std::vector<uint8_t> payload) {
 
   exec::ExecContext ctx;
   ctx.deterministic = req.deterministic;
-  ctx.morsel_rows = options_.morsel_rows;
   QueryResponse resp;
   ctx.query_stats = &resp.query_stats;
   // The decoded states are handed over, not copied: nothing reads them
@@ -750,21 +747,7 @@ void Server::Impl::RunQuery(uint64_t conn_id, std::vector<uint8_t> payload) {
     resp.plan.num_source_statements = plan->NumSourceStatements();
     resp.plan.strategy = resolved;
   }
-  tasks_stolen_.fetch_add(
-      static_cast<uint64_t>(resp.query_stats.tasks_stolen),
-      std::memory_order_relaxed);
-  affinity_hits_.fetch_add(
-      static_cast<uint64_t>(resp.query_stats.affinity_hits),
-      std::memory_order_relaxed);
-  affinity_misses_.fetch_add(
-      static_cast<uint64_t>(resp.query_stats.affinity_misses),
-      std::memory_order_relaxed);
-  sip_rows_pruned_.fetch_add(
-      static_cast<uint64_t>(resp.query_stats.sip_rows_pruned),
-      std::memory_order_relaxed);
-  zone_map_skips_.fetch_add(
-      static_cast<uint64_t>(resp.query_stats.zone_map_skips),
-      std::memory_order_relaxed);
+  exec::Accumulate(totals_, resp.query_stats);
   // Encode under the server's own frame bound: a result too large to frame
   // (or beyond the wire format's u32 length) becomes a typed error, never a
   // frame with a lying length prefix.

@@ -35,8 +35,6 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
   int port = 0;
-  /// listen(2) backlog.
-  int backlog = 64;
   /// Per-frame payload bound, applied in both directions: a client
   /// announcing a larger frame is rejected (kFrameTooLarge), and a query
   /// whose encoded response would exceed it is answered with a typed
@@ -54,8 +52,6 @@ struct ServerOptions {
   /// (Options::max_queue_wait_seconds / max_waiting_per_submitter); a
   /// request's deadline_ms overrides the wait bound per query.
   exec::ExecutorPool* pool = nullptr;
-  /// ExecContext::morsel_rows for served queries (0 = auto-tune).
-  int64_t morsel_rows = 0;
   /// Plan-cache entries (canonical hypergraph fingerprint -> memoized
   /// program + dataflow analysis); 0 disables the plan cache. Cached plans
   /// are remapped into the request's attribute space, so replies stay

@@ -1,9 +1,6 @@
 // src/cache/ unit + property tests: canonical fingerprinting (isomorphism
 // invariance, collision guards), plan-cache hit/LRU/concurrency semantics,
-// the delta-round incremental reducer's bit-identity to batch re-reduction
-// after randomized appends (including revivals) at several thread counts in
-// both determinism modes, the reduced-state cache's exact-hit / delta /
-// eviction paths, and the serve result cache.
+// and the serve result cache.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +13,7 @@
 #include "cache/fingerprint.h"
 #include "cache/plan_cache.h"
 #include "cache/result_cache.h"
-#include "cache/state_cache.h"
-#include "exec/executor_pool.h"
 #include "exec/physical_plan.h"
-#include "rel/reducer.h"
 #include "rel/solver.h"
 #include "rel/universal.h"
 #include "schema/generators.h"
@@ -204,10 +198,6 @@ TEST(PlanCacheTest, ExplicitStrategiesAreCachedSeparatelyAndClearResets) {
   EXPECT_FALSE(pc.GetOrBuild(d, target, PlanStrategy::kFullJoin)->hit);
 }
 
-TEST(PlanCacheTest, GlobalIsOneProcessWideInstance) {
-  EXPECT_EQ(&PlanCache::Global(), &PlanCache::Global());
-}
-
 TEST(PlanCacheTest, LruEvictsTheColdestEntry) {
   PlanCache::Options options;
   options.max_entries = 2;
@@ -255,255 +245,6 @@ TEST(PlanCacheTest, ConcurrentLookupsAreSafeAndCoherent) {
   const PlanCacheStats stats = pc.stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.hits + stats.misses, 8u * 50u);
-}
-
-// ---------------------------------------------------------------------------
-// Delta-round incremental maintenance
-
-// Appends `count` random rows to relation `rel` of `db`.
-void AppendRandom(VersionedDatabase* db, int rel, int count, int domain,
-                  Rng& rng) {
-  const AttrSet& schema = db->schema()[rel];
-  Relation extra(schema);
-  for (int i = 0; i < count; ++i) {
-    std::vector<Value> row;
-    for (int c = 0; c < schema.Size(); ++c) {
-      row.push_back(static_cast<Value>(rng.Below(
-          static_cast<uint64_t>(domain))));
-    }
-    extra.AddRow(row);
-  }
-  db->Append(rel, extra);
-}
-
-TEST(DeltaReduceTest, MatchesBatchBitIdenticallyAfterRandomizedAppends) {
-  // The tentpole property: across random tree schemas, random initial
-  // states, randomized appends, thread counts, and both determinism modes,
-  // the incrementally maintained fixpoint is IdenticalTo (row order and
-  // canonical flags included) a from-scratch batch re-reduction.
-  for (const int threads : {1, 2, 4, 8}) {
-    exec::ExecutorPool pool(exec::ExecutorPool::Options{});
-    for (const bool deterministic : {true, false}) {
-      Rng rng(1000 + static_cast<uint64_t>(threads) +
-              (deterministic ? 0 : 17));
-      for (int trial = 0; trial < 12; ++trial) {
-        DatabaseSchema d =
-            RandomTreeSchema(2 + static_cast<int>(rng.Below(5)), 3, rng)
-                .schema;
-        std::vector<Relation> initial = RandomStates(d, 10, 4, rng);
-        exec::ExecContext ctx;
-        ctx.threads = threads;
-        ctx.deterministic = deterministic;
-        ctx.pool = threads > 1 ? &pool : nullptr;
-
-        std::vector<int64_t> prev_rows;
-        for (const Relation& r : initial) prev_rows.push_back(r.NumRows());
-        std::vector<Relation> prev_reduced = SemijoinFixpoint(d, initial, ctx);
-
-        // Append to a random subset of relations (sometimes none).
-        std::vector<Relation> now = initial;
-        for (int i = 0; i < d.NumRelations(); ++i) {
-          if (rng.Below(3) == 0) continue;
-          const int extra = 1 + static_cast<int>(rng.Below(4));
-          Relation rows(d[i]);
-          for (int k = 0; k < extra; ++k) {
-            std::vector<Value> row;
-            for (int c = 0; c < d[i].Size(); ++c) {
-              row.push_back(static_cast<Value>(rng.Below(4)));
-            }
-            rows.AddRow(row);
-          }
-          const int64_t base = now[i].AppendRows(rows.NumRows());
-          for (int c = 0; c < now[i].Arity(); ++c) {
-            const Value* src = rows.ColData(c);
-            for (int64_t k = 0; k < rows.NumRows(); ++k) {
-              now[i].ColData(c)[base + k] = src[k];
-            }
-          }
-        }
-
-        int batch_steps = -1, delta_steps = -1;
-        std::vector<Relation> batch =
-            SemijoinFixpoint(d, now, ctx, &batch_steps);
-        DeltaStats dstats;
-        std::vector<Relation> delta = DeltaReduce(
-            d, now, prev_rows, prev_reduced, ctx, &delta_steps, &dstats);
-        ASSERT_EQ(batch.size(), delta.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-          EXPECT_TRUE(batch[i].IdenticalTo(delta[i]))
-              << "threads " << threads << " det " << deterministic
-              << " trial " << trial << " relation " << i;
-        }
-        // Effective semijoins are a fixpoint invariant only for the full
-        // schedule; the delta run may skip (never add) effective work.
-        EXPECT_LE(delta_steps, batch_steps);
-      }
-    }
-  }
-}
-
-TEST(DeltaReduceTest, AppendRevivesAPreviouslyDanglingRow) {
-  // R0 = {(1,2)} over ab, R1 = {} over bc: the old fixpoint removed (1,2).
-  // Appending (2,5) to R1 must revive it — the grow phase's whole point.
-  DatabaseSchema d = PathSchema(3);  // ab, bc
-  std::vector<Relation> initial;
-  Relation r0(d[0]);
-  r0.AddRow({1, 2});
-  r0.Canonicalize();
-  initial.push_back(r0);
-  initial.push_back(Relation(d[1]));
-  exec::ExecContext ctx;
-  std::vector<Relation> prev = SemijoinFixpoint(d, initial, ctx);
-  EXPECT_EQ(prev[0].NumRows(), 0);
-
-  std::vector<Relation> now = initial;
-  now[1].AddRow({2, 5});
-  DeltaStats dstats;
-  std::vector<Relation> delta =
-      DeltaReduce(d, now, {1, 0}, prev, ctx, nullptr, &dstats);
-  std::vector<Relation> batch = SemijoinFixpoint(d, now, ctx);
-  ASSERT_EQ(delta.size(), 2u);
-  EXPECT_EQ(delta[0].NumRows(), 1);
-  EXPECT_TRUE(delta[0].IdenticalTo(batch[0]));
-  EXPECT_TRUE(delta[1].IdenticalTo(batch[1]));
-  EXPECT_GE(dstats.grow_rounds, 1);
-  EXPECT_EQ(dstats.revived_candidates, 1);
-  EXPECT_EQ(dstats.appended_rows, 1);
-}
-
-TEST(DeltaReduceTest, ReportsDeltaCountersInQueryStats) {
-  Rng rng(23);
-  DatabaseSchema d = PathSchema(5);
-  std::vector<Relation> initial = RandomStates(d, 30, 6, rng);
-  exec::ExecContext ctx;
-  std::vector<int64_t> prev_rows;
-  for (const Relation& r : initial) prev_rows.push_back(r.NumRows());
-  std::vector<Relation> prev = SemijoinFixpoint(d, initial, ctx);
-
-  std::vector<Relation> now = initial;
-  now[0].AddRow({1, 2});
-  exec::QueryStats stats;
-  exec::ExecContext counted = ctx;
-  counted.query_stats = &stats;
-  DeltaReduce(d, now, prev_rows, prev, counted);
-  EXPECT_GT(stats.rows_rescanned, 0);
-  EXPECT_GE(stats.delta_rounds, 1);
-}
-
-// ---------------------------------------------------------------------------
-// VersionedDatabase + StateCache
-
-TEST(StateCacheTest, VersionsTrackAppendsIncludingEmptyOnes) {
-  Catalog catalog;
-  DatabaseSchema d = ParseSchema(catalog, "ab,bc");
-  Rng rng(5);
-  VersionedDatabase db(d, RandomStates(d, 5, 4, rng));
-  EXPECT_EQ(db.versions(), (std::vector<uint64_t>{0, 0}));
-  AppendRandom(&db, 1, 2, 4, rng);
-  EXPECT_EQ(db.versions(), (std::vector<uint64_t>{0, 1}));
-  db.Append(0, Relation(d[0]));  // zero rows still bumps
-  EXPECT_EQ(db.versions(), (std::vector<uint64_t>{1, 1}));
-}
-
-TEST(StateCacheTest, ExactHitReturnsCachedStatesWithoutRecomputing) {
-  Catalog catalog;
-  DatabaseSchema d = ParseSchema(catalog, "ab,bc,cd");
-  Rng rng(31);
-  VersionedDatabase db(d, RandomStates(d, 25, 5, rng));
-  StateCache cache;
-  exec::QueryStats stats;
-  exec::ExecContext ctx;
-  ctx.query_stats = &stats;
-  int steps = -1;
-  std::vector<Relation> first = cache.GetReduced(db, ctx, &steps);
-  EXPECT_EQ(stats.state_cache_hits, 0);
-  std::vector<Relation> second = cache.GetReduced(db, ctx, &steps);
-  EXPECT_EQ(stats.state_cache_hits, 1);
-  EXPECT_EQ(steps, 0);  // nothing ran
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_TRUE(first[i].IdenticalTo(second[i]));
-  }
-  const StateCacheStats cs = cache.stats();
-  EXPECT_EQ(cs.hits, 1u);
-  EXPECT_EQ(cs.misses, 1u);
-  EXPECT_EQ(cs.delta_refreshes, 0u);
-}
-
-TEST(StateCacheTest, AppendTriggersDeltaRefreshIdenticalToBatch) {
-  Catalog catalog;
-  DatabaseSchema d = ParseSchema(catalog, "ab,bc,cd,de");
-  Rng rng(37);
-  VersionedDatabase db(d, RandomStates(d, 40, 6, rng));
-  StateCache cache;
-  exec::ExecContext ctx;
-  cache.GetReduced(db, ctx);  // warm
-  for (int round = 0; round < 4; ++round) {
-    AppendRandom(&db, round % d.NumRelations(), 3, 6, rng);
-    exec::QueryStats stats;
-    exec::ExecContext counted;
-    counted.query_stats = &stats;
-    std::vector<Relation> cached = cache.GetReduced(db, counted);
-    EXPECT_EQ(stats.state_cache_hits, 1) << "round " << round;
-    std::vector<Relation> batch = SemijoinFixpoint(d, db.states(), ctx);
-    ASSERT_EQ(cached.size(), batch.size());
-    for (size_t i = 0; i < cached.size(); ++i) {
-      EXPECT_TRUE(cached[i].IdenticalTo(batch[i]))
-          << "round " << round << " relation " << i;
-    }
-  }
-  const StateCacheStats cs = cache.stats();
-  EXPECT_EQ(cs.delta_refreshes, 4u);
-  EXPECT_EQ(cs.misses, 1u);
-}
-
-TEST(StateCacheTest, ByteBoundEvictsLeastRecentlyUsedDatabase) {
-  Catalog catalog;
-  DatabaseSchema d = ParseSchema(catalog, "ab,bc");
-  Rng rng(41);
-  StateCache::Options options;
-  options.max_bytes = 1;  // one entry always fits; a second always evicts
-  StateCache cache(options);
-  exec::ExecContext ctx;
-  VersionedDatabase db1(d, RandomStates(d, 20, 4, rng));
-  VersionedDatabase db2(d, RandomStates(d, 20, 4, rng));
-  cache.GetReduced(db1, ctx);
-  cache.GetReduced(db2, ctx);  // evicts db1
-  cache.GetReduced(db1, ctx);  // miss again
-  const StateCacheStats cs = cache.stats();
-  EXPECT_EQ(cs.entries, 1u);
-  EXPECT_GE(cs.evictions, 2u);
-  EXPECT_EQ(cs.hits, 0u);
-  EXPECT_EQ(cs.misses, 3u);
-}
-
-TEST(StateCacheTest, ConcurrentTenantsShareOneCacheSafely) {
-  Catalog catalog;
-  DatabaseSchema d = ParseSchema(catalog, "ab,bc,cd");
-  StateCache cache;
-  constexpr int kThreads = 6;
-  std::vector<std::string> failures(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(100 + static_cast<uint64_t>(t));
-      VersionedDatabase db(d, RandomStates(d, 15, 5, rng));
-      exec::ExecContext ctx;
-      for (int iter = 0; iter < 10; ++iter) {
-        std::vector<Relation> cached = cache.GetReduced(db, ctx);
-        std::vector<Relation> batch = SemijoinFixpoint(d, db.states(), ctx);
-        for (size_t i = 0; i < cached.size(); ++i) {
-          if (!cached[i].IdenticalTo(batch[i])) {
-            failures[t] = "cached states diverged from batch";
-            return;
-          }
-        }
-        AppendRandom(&db, iter % d.NumRelations(), 1, 5, rng);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], "");
 }
 
 // ---------------------------------------------------------------------------
@@ -623,10 +364,6 @@ TEST(ResultCacheTest, DuplicatePutKeepsTheIncumbentAndClearResets) {
   rc.Clear();
   EXPECT_EQ(rc.stats().entries, 0u);
   EXPECT_FALSE(rc.Get(key).has_value());
-}
-
-TEST(ResultCacheTest, GlobalIsOneProcessWideInstance) {
-  EXPECT_EQ(&ResultCache::Global(), &ResultCache::Global());
 }
 
 }  // namespace

@@ -198,11 +198,11 @@ TEST(ColumnarTest, BloomCountersTallyPrunesWithoutChangingResults) {
   RelPair p(4096, 4096, int64_t{1} << 20, 1019);
   const Relation ref = RefSemijoin(p.r, p.s);
 
-  std::atomic<int64_t> serial_skips{0};
-  std::atomic<int64_t> serial_prunes{0};
   OpExecOpts serial_opts;
-  serial_opts.bloom_skip_counter = &serial_skips;
-  serial_opts.probe_prune_counter = &serial_prunes;
+  serial_opts.counters = std::make_shared<exec::QueryCounters>();
+  std::atomic<int64_t>& serial_skips =
+      serial_opts.counters->bloom_partition_skips;
+  std::atomic<int64_t>& serial_prunes = serial_opts.counters->probe_rows_pruned;
   Relation serial = Semijoin(p.r, p.s, serial_opts);
   EXPECT_TRUE(serial.EqualsAsSet(ref));
   // The serial kernel has one whole-build filter, not partition filters.
@@ -211,11 +211,10 @@ TEST(ColumnarTest, BloomCountersTallyPrunesWithoutChangingResults) {
   EXPECT_LE(serial_prunes.load(), p.r.NumRows());
 
   exec::TaskScheduler pool(4);
-  std::atomic<int64_t> par_skips{0};
-  std::atomic<int64_t> par_prunes{0};
   OpExecOpts par_opts = PooledOpts(&pool, 256, true);
-  par_opts.bloom_skip_counter = &par_skips;
-  par_opts.probe_prune_counter = &par_prunes;
+  par_opts.counters = std::make_shared<exec::QueryCounters>();
+  std::atomic<int64_t>& par_skips = par_opts.counters->bloom_partition_skips;
+  std::atomic<int64_t>& par_prunes = par_opts.counters->probe_rows_pruned;
   Relation parallel = Semijoin(p.r, p.s, par_opts);
   EXPECT_TRUE(parallel.IdenticalTo(serial));
   // Partition-filter rejections count as both a skip and a prune.
@@ -228,9 +227,9 @@ TEST(ColumnarTest, TinyBuildsSkipTheBloomFilterButStillMatch) {
   // Builds under kMinBloomBuildRows bypass the filter; the counter contract
   // (zero tallies) and the results must hold either way.
   RelPair p(600, static_cast<int>(kMinBloomBuildRows) - 1, 16, 1021);
-  std::atomic<int64_t> prunes{0};
   OpExecOpts opts;
-  opts.probe_prune_counter = &prunes;
+  opts.counters = std::make_shared<exec::QueryCounters>();
+  std::atomic<int64_t>& prunes = opts.counters->probe_rows_pruned;
   Relation out = Semijoin(p.r, p.s, opts);
   EXPECT_TRUE(out.EqualsAsSet(RefSemijoin(p.r, p.s)));
   EXPECT_EQ(prunes.load(), 0);

@@ -413,7 +413,7 @@ TEST(PriorityAgingTest, AgedGraphOutranksEqualBasePriority) {
     // parked. H2's task has the same base priority, boosted by its age.
     TaskGraph b;
     b.AddTask([&] { record("B"); }, 1);
-    auto stats = std::make_shared<StealStats>();
+    auto stats = std::make_shared<QueryCounters>();
     const double age =
         aged ? (TaskScheduler::kMaxAgingBoost + 1) *
                    TaskScheduler::kAgingQuantumSeconds

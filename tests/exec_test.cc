@@ -86,6 +86,41 @@ std::vector<Program> AllStrategyPrograms(const DatabaseSchema& d,
   return programs;
 }
 
+TEST(QueryStatsTest, AccumulateSumsAndKeepsTheMax) {
+  // The counter table's aggregation column: kSum entries (and the two
+  // durations) add; peak_state_bytes and queue_depth_at_admit keep the
+  // larger value — whichever side holds it.
+  exec::QueryStats into;
+  into.run_time_seconds = 0.5;
+  into.tasks = 3;
+  into.sip_rows_pruned = 10;
+  into.peak_state_bytes = 4096;
+  into.queue_depth_at_admit = 1;
+  exec::QueryStats from;
+  from.run_time_seconds = 0.25;
+  from.tasks = 4;
+  from.sip_rows_pruned = 5;
+  from.peak_state_bytes = 1024;
+  from.queue_depth_at_admit = 7;
+  exec::Accumulate(into, from);
+  EXPECT_EQ(into.run_time_seconds, 0.75);
+  EXPECT_EQ(into.tasks, 7);
+  EXPECT_EQ(into.sip_rows_pruned, 15);
+  EXPECT_EQ(into.peak_state_bytes, 4096);
+  EXPECT_EQ(into.queue_depth_at_admit, 7);
+
+  // The atomic block folds by the same rules.
+  exec::QueryCounters totals;
+  exec::Accumulate(totals, into);
+  exec::Accumulate(totals, from);
+  const exec::QueryStats snapshot = totals.Snapshot();
+  EXPECT_EQ(snapshot.tasks, 11);
+  EXPECT_EQ(snapshot.sip_rows_pruned, 20);
+  EXPECT_EQ(snapshot.peak_state_bytes, 4096);
+  EXPECT_EQ(snapshot.queue_depth_at_admit, 7);
+  EXPECT_EQ(snapshot.run_time_seconds, 0.0);  // durations have no slot
+}
+
 TEST(PhysicalPlanTest, DataflowDependencies) {
   Program p(3);
   int j = p.AddJoin(0, 1);            // statement 0: R3

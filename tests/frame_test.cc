@@ -33,6 +33,25 @@ std::vector<uint8_t> Body(const std::vector<uint8_t>& frame, FrameType type) {
                               frame.end());
 }
 
+// Gives every query counter a distinct value, in table order: 100, 201,
+// 302, ... (two-byte zigzag varints, so a dropped counter shifts every
+// later byte). ExpectDistinctCounters checks the same sequence.
+void SetDistinctCounters(exec::QueryStats* stats) {
+  int64_t next = 100;
+  exec::ForEachCounter(*stats, [&](const char*, int64_t& value) {
+    value = next;
+    next += 101;
+  });
+}
+
+void ExpectDistinctCounters(const exec::QueryStats& stats) {
+  int64_t want = 100;
+  exec::ForEachCounter(stats, [&](const char* name, int64_t value) {
+    EXPECT_EQ(value, want) << name;
+    want += 101;
+  });
+}
+
 TEST(FrameCodecTest, VarintAndZigzagRoundTripEdgeValues) {
   const uint64_t unsigned_cases[] = {
       0, 1, 127, 128, 300, (1ull << 32) - 1, (1ull << 63),
@@ -631,19 +650,35 @@ TEST(FrameCodecTest, QueryResponseRoundTrips) {
   response.stats.max_intermediate_rows = 100;
   response.stats.total_rows_produced = 123;
   response.stats.result_rows = 2;
-  response.query_stats.queue_wait_seconds = 0.25;
-  response.query_stats.run_time_seconds = 1.5;
-  response.query_stats.tasks = 8;
-  response.query_stats.tasks_stolen = 3;
-  response.query_stats.queue_depth_at_admit = 4;
+  // Every counter gets a distinct value, set by name, so the pinned bytes
+  // below catch a counter that moved within the table, not only a lost one.
+  exec::QueryStats& q = response.query_stats;
+  q.queue_wait_seconds = 0.25;
+  q.run_time_seconds = 1.5;
+  q.tasks = 100;
+  q.morsels = 201;
+  q.peak_state_bytes = 302;
+  q.retired_states = 403;
+  q.bloom_partition_skips = 504;
+  q.probe_rows_pruned = 605;
+  q.tasks_stolen = 706;
+  q.affinity_hits = 807;
+  q.affinity_misses = 908;
+  q.queue_depth_at_admit = 1009;
+  q.plan_cache_hits = 1110;
+  q.state_cache_hits = 1211;
+  q.delta_rounds = 1312;
+  q.rows_rescanned = 1413;
+  q.sip_rows_pruned = 1514;
+  q.zone_map_skips = 1615;
   response.has_plan = true;
   response.plan.num_statements = 8;
   response.plan.critical_path = 7;
   response.plan.num_source_statements = 1;
   response.plan.strategy = Strategy::kYannakakis;
 
-  std::vector<uint8_t> body =
-      Body(EncodeQueryResponse(response), FrameType::kQueryResponse);
+  const std::vector<uint8_t> frame = EncodeQueryResponse(response);
+  std::vector<uint8_t> body = Body(frame, FrameType::kQueryResponse);
   QueryResponse decoded;
   std::string error;
   ASSERT_TRUE(DecodeQueryResponse(body.data(), body.size(), target, &decoded,
@@ -654,13 +689,27 @@ TEST(FrameCodecTest, QueryResponseRoundTrips) {
   EXPECT_EQ(decoded.stats.result_rows, 2);
   EXPECT_EQ(decoded.query_stats.queue_wait_seconds, 0.25);
   EXPECT_EQ(decoded.query_stats.run_time_seconds, 1.5);
-  EXPECT_EQ(decoded.query_stats.tasks, 8);
-  EXPECT_EQ(decoded.query_stats.tasks_stolen, 3);
-  EXPECT_EQ(decoded.query_stats.queue_depth_at_admit, 4);
+  ExpectDistinctCounters(decoded.query_stats);
   ASSERT_TRUE(decoded.has_plan);
   EXPECT_EQ(decoded.plan.num_statements, 8);
   EXPECT_EQ(decoded.plan.critical_path, 7);
   EXPECT_EQ(decoded.plan.strategy, Strategy::kYannakakis);
+
+  // The counter block's layout is frozen: these are the bytes the
+  // hand-written field-by-field encoder produced for this response before
+  // the counter table generated it (header, flags, result, program stats,
+  // durations, the 16 counters in table order, plan info). A counter added
+  // to the table lands before the plan info, so adding one means capturing
+  // this pin again.
+  const std::vector<uint8_t> pinned = {
+      0x46, 0x00, 0x00, 0x00, 0x03, 0x01, 0x02, 0x01, 0x02, 0x02, 0x01, 0x00,
+      0x02, 0x04, 0x01, 0x00, 0x02, 0xc8, 0x01, 0xf6, 0x01, 0x04, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xf8, 0x3f, 0xc8, 0x01, 0x92, 0x03, 0xdc, 0x04, 0xa6, 0x06, 0xf0, 0x07,
+      0xba, 0x09, 0x84, 0x0b, 0xce, 0x0c, 0x98, 0x0e, 0xe2, 0x0f, 0xac, 0x11,
+      0xf6, 0x12, 0xc0, 0x14, 0x8a, 0x16, 0xd4, 0x17, 0x9e, 0x19, 0x08, 0x07,
+      0x01, 0x03};
+  EXPECT_EQ(frame, pinned);
 }
 
 TEST(FrameCodecTest, StatusResponseRoundTrips) {
@@ -678,9 +727,9 @@ TEST(FrameCodecTest, StatusResponseRoundTrips) {
   status.queries_shed_backlog = 1;
   status.protocol_errors = 3;
   status.draining = true;
-  status.tasks_stolen = 17;
-  status.affinity_hits = 40;
-  status.affinity_misses = 5;
+  status.plan_cache_hits = 6;
+  status.result_cache_misses = 11;
+  SetDistinctCounters(&status.totals);
 
   std::vector<uint8_t> body =
       Body(EncodeStatusResponse(status), FrameType::kStatusResponse);
@@ -697,7 +746,9 @@ TEST(FrameCodecTest, StatusResponseRoundTrips) {
   EXPECT_EQ(decoded.queries_served, 25u);
   EXPECT_EQ(decoded.queries_shed_deadline, 2u);
   EXPECT_TRUE(decoded.draining);
-  EXPECT_EQ(decoded.affinity_hits, 40u);
+  EXPECT_EQ(decoded.plan_cache_hits, 6u);
+  EXPECT_EQ(decoded.result_cache_misses, 11u);
+  ExpectDistinctCounters(decoded.totals);
 
   // A submitter count that promises more entries than the bytes on hand
   // fails before any allocation.

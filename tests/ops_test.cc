@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
+#include "exec/exec_context.h"
 #include "schema/parse.h"
 #include "util/rng.h"
 
@@ -216,9 +220,9 @@ class ZoneMapOpsTest : public OpsTest {
 TEST_F(ZoneMapOpsTest, SemijoinSkipsDisjointKeyRanges) {
   Relation r = Make("ab", {{1, 10}, {2, 11}, {3, 12}});
   Relation s = Make("bc", {{100, 0}, {200, 1}});  // b-ranges cannot overlap
-  std::atomic<int64_t> skips{0};
   OpExecOpts opts;
-  opts.zone_skip_counter = &skips;
+  opts.counters = std::make_shared<exec::QueryCounters>();
+  std::atomic<int64_t>& skips = opts.counters->zone_map_skips;
   Relation out = Semijoin(r, s, opts);
   EXPECT_EQ(out.NumRows(), 0);
   EXPECT_EQ(skips.load(), r.NumRows());
@@ -231,9 +235,9 @@ TEST_F(ZoneMapOpsTest, SemijoinSkipsDisjointKeyRanges) {
 TEST_F(ZoneMapOpsTest, SemijoinKeepsOverlappingRanges) {
   Relation r = Make("ab", {{1, 10}, {5, 11}, {9, 12}});
   Relation s = Make("bc", {{11, 0}, {40, 1}});  // b-ranges overlap: no skip
-  std::atomic<int64_t> skips{0};
   OpExecOpts opts;
-  opts.zone_skip_counter = &skips;
+  opts.counters = std::make_shared<exec::QueryCounters>();
+  std::atomic<int64_t>& skips = opts.counters->zone_map_skips;
   Relation out = Semijoin(r, s, opts);
   EXPECT_EQ(skips.load(), 0);
   ASSERT_EQ(out.NumRows(), 1);
@@ -245,9 +249,9 @@ TEST_F(ZoneMapOpsTest, InvalidZonesNeverSkip) {
   // the skip must not fire on stale metadata.
   Relation r = Make("ab", {{1, 10}, {2, 11}});
   Relation s = Make("bc", {{100, 0}});
-  std::atomic<int64_t> skips{0};
   OpExecOpts opts;
-  opts.zone_skip_counter = &skips;
+  opts.counters = std::make_shared<exec::QueryCounters>();
+  std::atomic<int64_t>& skips = opts.counters->zone_map_skips;
   Relation out = Semijoin(WithoutZones(r), WithoutZones(s), opts);
   EXPECT_EQ(skips.load(), 0);
   EXPECT_EQ(out.NumRows(), 0);

@@ -306,7 +306,7 @@ TEST(TaskSchedulerTest, ParallelForAffineCoversEveryChunkExactlyOnce) {
           static_cast<int>(c % (pool.num_workers() + 3)) - 2;
     }
     std::vector<std::atomic<int>> hits(kChunks);
-    auto stats = std::make_shared<StealStats>();
+    auto stats = std::make_shared<QueryCounters>();
     pool.ParallelForAffine(
         kChunks,
         [&](int64_t c) {
@@ -332,7 +332,7 @@ TEST(TaskSchedulerTest, ParallelForAffineCoversEveryChunkExactlyOnce) {
 TEST(TaskSchedulerTest, ParallelForAffineZeroAndOneChunk) {
   TaskScheduler pool(4);
   int ran = 0;
-  auto stats = std::make_shared<StealStats>();
+  auto stats = std::make_shared<QueryCounters>();
   pool.ParallelForAffine(0, [&](int64_t) { ++ran; }, {}, stats);
   EXPECT_EQ(ran, 0);
   pool.ParallelForAffine(
@@ -351,7 +351,7 @@ TEST(TaskSchedulerTest, AffinityHitsAccrueWhenOwnersRunTheirChunks) {
   TaskScheduler pool(2);
   constexpr int64_t kChunks = 32;
   std::vector<int> affinity(kChunks, 0);
-  auto stats = std::make_shared<StealStats>();
+  auto stats = std::make_shared<QueryCounters>();
   pool.ParallelForAffine(
       kChunks,
       [&](int64_t) {
@@ -374,7 +374,7 @@ TEST(TaskSchedulerTest, StealStatsCountStolenTasks) {
   TaskScheduler pool(options);
   constexpr int64_t kChunks = 64;
   std::vector<int> affinity(kChunks, 0);
-  auto stats = std::make_shared<StealStats>();
+  auto stats = std::make_shared<QueryCounters>();
   pool.ParallelForAffine(
       kChunks,
       [&](int64_t) {

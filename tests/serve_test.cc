@@ -218,6 +218,13 @@ TEST(ServeTest, RepeatQueryIsServedFromCacheBitIdentically) {
   EXPECT_EQ(status.plan_cache_misses, 1u);
   EXPECT_EQ(status.result_cache_hits, 1u);
   EXPECT_EQ(status.result_cache_misses, 1u);
+  // The lifetime totals fold in both replies, the executed one and the
+  // replay (which carries the two cache verdicts and no work).
+  EXPECT_EQ(status.totals.tasks, first.query_stats.tasks);
+  EXPECT_EQ(status.totals.peak_state_bytes,
+            first.query_stats.peak_state_bytes);
+  EXPECT_EQ(status.totals.plan_cache_hits, 1);
+  EXPECT_EQ(status.totals.state_cache_hits, 1);
 }
 
 TEST(ServeTest, DisabledCachesExecuteEveryQuery) {
