@@ -16,6 +16,10 @@
 //     queries through ONE shared admission-controlled pool — the
 //     multi-tenant story. Counters report the (identical) per-query result
 //     cardinality plus the aggregate morsel count observed by QueryStats.
+//   * KernelGrain: one join or semijoin kernel on a bare TaskScheduler of
+//     Arg(0) threads, probe sides from 2^14 to 2^21 rows with auto-sized
+//     morsels — where the fork grain (kMinMorselsPerThread) lets a kernel
+//     fork, and what forking buys.
 //
 // Times are wall-clock (UseRealTime): with worker threads, per-thread CPU
 // time would hide the speedup being measured.
@@ -28,7 +32,9 @@
 
 #include "exec/executor_pool.h"
 #include "exec/physical_plan.h"
+#include "exec/task_scheduler.h"
 #include "mem_counters.h"
+#include "rel/ops.h"
 #include "rel/reducer.h"
 #include "rel/solver.h"
 #include "rel/universal.h"
@@ -159,13 +165,18 @@ BENCHMARK(BM_Exec_FullJoin_Morsels)
 
 void BM_Exec_StealImbalance(benchmark::State& state) {
   // Deliberately skewed semijoin: 75% of the probe side shares one hot key,
-  // so one hash partition owns ~6x its fair share of probe chunks — and
-  // every one of those chunks carries the same builder affinity. Without
-  // stealing that partition serializes on one deque; with it the idle
-  // workers drain the hot deque FIFO. The trailing projection gives the
-  // graph a second statement, so the caller's drain loop runs inside the
-  // measured region and leftover affinity-tagged morsels are consumed (and
-  // counted) before the query finishes even on a single-core host.
+  // so one hash partition holds most of the build's probe traffic and the
+  // morsels that hit it do most of the chain walking. Morsels are contiguous
+  // probe-row ranges handed out by one claim counter, so the skew cannot
+  // pin work to one thread; the helpers a statement running on a pool
+  // worker fans out sit on that worker's deque, and the other threads steal
+  // them. The trailing projection gives the graph a second statement, so
+  // the caller's drain loop runs inside the measured region and leftover
+  // helpers are consumed (and counted) before the query finishes even on a
+  // single-core host. morsel_rows is set explicitly to the auto size
+  // (AutoMorselRows(2) = 16384) so both statements fork at every width:
+  // left at 0, the 2^18-row probe side is 16 morsels, under the fork grain
+  // of 4 and 8 threads.
   constexpr int64_t kProbeRows = 1 << 18;
   constexpr int64_t kBuildRows = 1 << 16;
   constexpr Value kHotKey = 42;
@@ -189,6 +200,7 @@ void BM_Exec_StealImbalance(benchmark::State& state) {
   std::vector<Relation> states = {r, s};
   const double peak_rss_mb = SampleRss(state, p, states);
   BenchPool bench(state);
+  bench.ctx.morsel_rows = AutoMorselRows(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(exec::Run(p, states, bench.ctx));
   }
@@ -260,14 +272,18 @@ BENCHMARK(BM_Exec_SipStar)
     ->UseRealTime();
 
 void BM_Exec_JoinScatter(benchmark::State& state) {
-  // NaturalJoin's probe-side radix scatter under skew: the build side is
+  // NaturalJoin's in-order morsel probe under skew: the build side is
   // unique on the join key (output growth ≤ 1), the probe side puts half
   // its rows on 8 hot keys — so a handful of partitions own most of the
-  // probe traffic and the scatter + sticky affinity + stealing interplay
-  // is what the thread curve measures. Arg(0) = threads, Arg(1) =
-  // deterministic: the 1-half pays the k-way morsel merge that restores
-  // serial output order, the 0-half concatenates in completion order, so
-  // the merge's cost is the gap between the halves at each width.
+  // probe traffic, spread evenly over the row-range morsels, and the
+  // partitioned build, the probe and the gather pass are what the thread
+  // curve measures. There is no merge step: morsel outputs concatenate in
+  // morsel order. Arg(0) = threads; Arg(1) sets ExecContext::deterministic,
+  // which no longer changes the kernel, so the {8, 0} row is a repeat of
+  // {8, 1}. morsel_rows is set explicitly to the auto size
+  // (AutoMorselRows(2) = 16384) so the join forks at every width: left at
+  // 0, the 2^18-row probe side is 16 morsels, under the fork grain of 4
+  // and 8 threads.
   constexpr int64_t kProbeRows = 1 << 18;
   constexpr int64_t kBuildRows = 1 << 16;
   Rng rng(29);
@@ -290,6 +306,7 @@ void BM_Exec_JoinScatter(benchmark::State& state) {
   std::vector<Relation> states = {std::move(r), std::move(s)};
   const double peak_rss_mb = SampleRss(state, p, states);
   BenchPool bench(state);
+  bench.ctx.morsel_rows = AutoMorselRows(2);
   bench.ctx.deterministic = state.range(1) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(exec::Run(p, states, bench.ctx));
@@ -302,6 +319,57 @@ BENCHMARK(BM_Exec_JoinScatter)
     ->Args({4, 1})
     ->Args({8, 1})
     ->Args({8, 0})
+    ->UseRealTime();
+
+void BM_Exec_KernelGrain(benchmark::State& state) {
+  // The fork grain's evidence: one join or one semijoin kernel, called
+  // directly on a pool of Arg(0) threads with auto-sized morsels, so each
+  // row shows whether the kernel forked (morsels > 0) and what it cost
+  // against the Arg(0) = 1 row of the same shape. Arg(1) = log2 of the
+  // probe rows, r(a, b, c) with b drawn from twice the build's key count
+  // (about half the probe rows match); Arg(2) = build side s(b, d), unique
+  // on b: 0 = 2048 rows, 1 = a quarter of the probe rows; Arg(3) = kernel:
+  // 0 = r ⋈ s, 1 = r ⋉ s. Both kernels auto-size 10922-row morsels (arity
+  // 3), so a probe side forks once it spans kMinMorselsPerThread morsels
+  // per thread. The inputs are assembled column by column, and no program
+  // wraps the kernel, so no per-iteration state copy dilutes the ratio.
+  const int threads = static_cast<int>(state.range(0));
+  const int64_t probe_rows = int64_t{1} << state.range(1);
+  const int64_t build_rows =
+      state.range(2) == 0 ? int64_t{2048} : probe_rows / 4;
+  const bool semijoin = state.range(3) != 0;
+  Rng rng(37);
+  Relation r(AttrSet{0, 1, 2});
+  r.AppendRows(probe_rows);
+  for (int64_t i = 0; i < probe_rows; ++i) {
+    r.ColData(0)[i] = static_cast<Value>(i);
+    r.ColData(1)[i] = static_cast<Value>(
+        rng.Below(static_cast<uint64_t>(2 * build_rows)));
+    r.ColData(2)[i] = static_cast<Value>(i % 1024);
+  }
+  Relation s(AttrSet{1, 3});
+  s.AppendRows(build_rows);
+  for (int64_t k = 0; k < build_rows; ++k) {
+    s.ColData(0)[k] = static_cast<Value>(k);
+    s.ColData(1)[k] = static_cast<Value>(k % 97);
+  }
+  exec::TaskScheduler pool(threads);
+  OpExecOpts opts;
+  opts.scheduler = &pool;
+  auto run = [&] {
+    return semijoin ? Semijoin(r, s, opts) : NaturalJoin(r, s, opts);
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run());
+  }
+  opts.counters = std::make_shared<exec::QueryCounters>();
+  state.counters["result_rows"] = static_cast<double>(run().NumRows());
+  state.counters["morsels"] =
+      static_cast<double>(opts.counters->morsels.load());
+}
+BENCHMARK(BM_Exec_KernelGrain)
+    ->ArgsProduct({{1, 2, 4}, {14, 15, 16, 17, 18, 19, 20, 21}, {0, 1},
+                   {0, 1}})
     ->UseRealTime();
 
 void BM_Exec_ZoneMap(benchmark::State& state) {

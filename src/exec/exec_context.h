@@ -22,9 +22,11 @@ class ExecutorPool;
 #define GYO_QUERY_COUNTERS(X)                                                  \
   /* Statement tasks executed for this query (one per program statement). */   \
   X(tasks, kSum)                                                               \
-  /* Data morsels dispatched by this query's operator kernels (hash-build      \
-     and probe passes). 0 when every operator ran serially — inputs smaller    \
-     than one morsel, or a single-thread pool. */                              \
+  /* Data morsels dispatched by this query's forked operator kernels          \
+     (the partitioned build's two scatter passes, then the probe and gather    \
+     passes). 0 when every operator ran serially: a single-thread pool, a      \
+     probe side of one explicit-size morsel, or one under the fork grain of    \
+     auto-sized morsels (kMinMorselsPerThread in rel/ops.h). */                \
   X(morsels, kSum)                                                             \
   /* Peak bytes of live relation-state arenas (base copies + statement         \
      results) during this query's execution. With state retirement (see        \
@@ -37,8 +39,8 @@ class ExecutorPool;
   X(retired_states, kSum)                                                      \
   /* Probe rows whose key hash one of the partitioned build's own              \
      per-partition Bloom filters rejected, skipping that partition's           \
-     bucket-chain walk entirely (parallel partitioned builds only; 0 on        \
-     serial runs). Cross-statement pruning is sip_rows_pruned. */              \
+     bucket-chain walk entirely (forked kernels only; 0 when every kernel      \
+     ran serially). Cross-statement pruning is sip_rows_pruned. */             \
   X(bloom_partition_skips, kSum)                                               \
   /* Probe rows pruned by any of the kernel's own Bloom filters — the serial   \
      single-filter rejections plus the partitioned ones above — before a       \
@@ -51,13 +53,11 @@ class ExecutorPool;
      steals). Scheduling-dependent, so reproducible only up to placement —     \
      never pinned as a correctness counter. */                                 \
   X(tasks_stolen, kSum)                                                        \
-  /* Affinity-tagged probe/dedupe morsels that ran on the worker that built    \
-     their partition (the cache-resident case). hits + misses equals the       \
-     number of affinity-tagged morsels dispatched; the split between them is   \
-     scheduling-dependent. */                                                  \
+  /* Always 0: partition-affinity placement of probe morsels is gone, and     \
+     nothing feeds this counter. It keeps its name and wire slot because       \
+     servebench/ reads it (its exec.affinity_hit_ratio). */                    \
   X(affinity_hits, kSum)                                                       \
-  /* Affinity-tagged morsels that ran on some other thread (stolen, or         \
-     claimed by the query's own caller thread). */                             \
+  /* Always 0, like affinity_hits and for the same reason. */                  \
   X(affinity_misses, kSum)                                                     \
   /* Queries already waiting in the admission controller when this query       \
      arrived (0 = admitted straight onto a free slot). The queue-pressure      \
@@ -202,19 +202,21 @@ struct ExecContext {
 
   /// Probe rows per morsel in the parallel operator kernels. 0 (the default)
   /// auto-tunes per operator from the probe relation's arity so one morsel's
-  /// values stay ~L2-resident (see AutoMorselRows in rel/ops.h). Operators
-  /// whose probe side fits in one morsel run serially inside their statement
-  /// task (statement-level parallelism still applies).
+  /// values stay ~L2-resident (see AutoMorselRows in rel/ops.h), and an
+  /// operator forks only when its probe side spans at least
+  /// kMinMorselsPerThread such morsels per pool thread. An explicit value
+  /// forks any probe side of more than one morsel — the test lever that
+  /// forces splits on small data. Operators that do not fork run serially
+  /// inside their statement task (statement-level parallelism still
+  /// applies).
   int64_t morsel_rows = 0;
 
-  /// When true (default), parallel operators merge their per-morsel outputs
-  /// in morsel order, making every produced relation bit-identical — same
-  /// physical row order, same canonical flag — to a serial run. This holds
-  /// per query even when many queries share one pool. When false, only
-  /// NaturalJoin changes: its morsel outputs merge in completion order (the
-  /// same set of rows in unspecified physical order). Semijoin and Project
-  /// compact survivors in input row order in both modes, so their outputs —
-  /// canonical flag included — do not depend on this flag.
+  /// No longer changes any result: every parallel operator concatenates its
+  /// morsel outputs in morsel order, so every produced relation is
+  /// bit-identical — same physical row order, same canonical flag — to a
+  /// serial run, whatever this flag says. The field stays because
+  /// servebench/ sets it and gyo_serve copies the request's flag into it;
+  /// the serve path still gates its result cache on the request's flag.
   bool deterministic = true;
 
   /// Pool to run on when threads != 1. nullptr = the lazily-initialized

@@ -446,7 +446,6 @@ std::vector<Relation> ExecuteImpl(const Program& program,
 
   OpExecOpts op_opts;
   op_opts.morsel_rows = ctx.morsel_rows;
-  op_opts.deterministic = ctx.deterministic;
 
   // SIP analysis per execution (it needs the derived schemas, and the
   // filters themselves depend on the actual base states). Filter tasks read

@@ -56,14 +56,12 @@ class PhysicalPlan {
   /// ExecutorPool (ctx.pool, defaulting to the process-wide one): admission
   /// caps concurrent queries, the pool's workers run independent statements
   /// concurrently — critical-path statements first — and large operators
-  /// additionally parallelize over morsels. In deterministic mode
-  /// (ctx.deterministic, the default) the returned states are bit-identical
-  /// to the serial run's — same row order, same canonical flags — and so are
-  /// the reported Stats, regardless of pool size or concurrent queries;
-  /// otherwise row order within each state is unspecified (Stats are
-  /// unchanged either way: operator outputs are duplicate-free, so the
-  /// counters are set cardinalities). ctx.query_stats, when non-null,
-  /// receives the per-query admission/runtime metrics.
+  /// additionally parallelize over morsels. The returned states are
+  /// bit-identical to the serial run's — same row order, same canonical
+  /// flags — and so are the reported Stats, regardless of pool size,
+  /// morsel size or concurrent queries (ctx.deterministic no longer changes
+  /// anything). ctx.query_stats, when non-null, receives the per-query
+  /// admission/runtime metrics.
   std::vector<Relation> Execute(const std::vector<Relation>& base,
                                 const ExecContext& ctx,
                                 Program::Stats* stats = nullptr) const;

@@ -136,22 +136,14 @@ int TaskScheduler::CurrentWorkerIndex() const {
 }
 
 void TaskScheduler::Enqueue(int priority, std::function<void()> fn,
-                            int affinity,
+                            int worker,
                             const std::shared_ptr<QueryCounters>& counters) {
   Job job{std::move(fn), counters};
   // Count the job before it becomes poppable so the idle-sleep predicate
   // (jobs_ > 0) never reads 0 while a pushed job is visible in some queue.
   jobs_.fetch_add(1, std::memory_order_release);
-  int target = -1;
-  if (threads_ > 1) {
-    if (affinity >= 0 && affinity < num_workers()) {
-      target = affinity;
-    } else {
-      target = CurrentWorkerIndex();  // workers keep their spawn local
-    }
-  }
-  if (target >= 0) {
-    PushDeque(target, priority, std::move(job));
+  if (worker >= 0) {
+    PushDeque(worker, priority, std::move(job));
   } else {
     PushOverflow(priority, std::move(job));
   }
@@ -279,9 +271,11 @@ void TaskScheduler::EnqueueGraphTask(
   const int priority =
       state->graph->tasks_[static_cast<size_t>(id)].priority +
       state->age_boost;
+  // Workers keep their spawn local; external threads (every thread of a
+  // 1-thread pool) feed the overflow queue.
   Enqueue(
       priority, [this, state, id] { RunGraphTask(state, id); },
-      /*affinity=*/-1, state->counters);
+      CurrentWorkerIndex(), state->counters);
 }
 
 // Executes task `id`: run its fn, release successors whose dependency count
@@ -431,114 +425,27 @@ void TaskScheduler::ParallelFor(int64_t num_chunks,
     s->cv.notify_all();
   };
 
+  // The helpers sit on one deque and spread by stealing: the forking
+  // worker's own, or a rotating worker's when the fork comes from outside
+  // the pool, so an external fork reaches the pool the way a worker's does.
+  int home = CurrentWorkerIndex();
+  if (home < 0) {
+    home = static_cast<int>(next_home_.fetch_add(1, std::memory_order_relaxed) %
+                            static_cast<unsigned>(num_workers()));
+  }
   const int64_t helpers =
       std::min<int64_t>(static_cast<int64_t>(threads_) - 1, num_chunks - 1);
   for (int64_t h = 0; h < helpers; ++h) {
     std::shared_ptr<PFState> st = state;
     Enqueue(
-        kMorselPriority, [st, claim_loop] { claim_loop(st.get()); },
-        /*affinity=*/-1, counters);
+        kMorselPriority, [st, claim_loop] { claim_loop(st.get()); }, home,
+        counters);
   }
 
   claim_loop(state.get());
 
   // Every chunk is claimed by now (the caller's loop exits only on counter
   // exhaustion); wait for helpers to finish their in-flight chunks.
-  std::unique_lock<std::mutex> lock(state->m);
-  state->cv.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == num_chunks;
-  });
-}
-
-void TaskScheduler::ParallelForAffine(int64_t num_chunks,
-                                      const std::function<void(int64_t)>& body,
-                                      const std::vector<int>& affinity,
-                                      std::shared_ptr<QueryCounters> counters) {
-  GYO_CHECK_MSG(static_cast<int64_t>(affinity.size()) == num_chunks,
-                "affinity list has %lld entries for %lld chunks",
-                static_cast<long long>(affinity.size()),
-                static_cast<long long>(num_chunks));
-  if (num_chunks <= 0) return;
-  if (threads_ == 1 || num_chunks == 1) {
-    for (int64_t c = 0; c < num_chunks; ++c) body(c);
-    return;
-  }
-
-  // One job per chunk, placed on its affinity worker's deque (overflow when
-  // unpreferenced), each guarded by a claim flag: the placed job and any
-  // claiming peer race on the CAS and exactly one runs the body. The caller
-  // sweeps the flags itself, so completion never depends on worker
-  // availability, and late jobs for already-claimed chunks no-op (they hold
-  // the state alive via shared_ptr, so late execution is harmless).
-  struct AffineState {
-    std::unique_ptr<std::atomic<uint8_t>[]> claimed;
-    std::atomic<int64_t> done{0};
-    int64_t chunks = 0;
-    const std::function<void(int64_t)>* body = nullptr;
-    const std::vector<int>* affinity = nullptr;
-    std::shared_ptr<QueryCounters> counters;
-    const TaskScheduler* scheduler = nullptr;
-    std::mutex m;
-    std::condition_variable cv;
-  };
-  auto state = std::make_shared<AffineState>();
-  state->claimed =
-      std::make_unique<std::atomic<uint8_t>[]>(static_cast<size_t>(num_chunks));
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    state->claimed[static_cast<size_t>(c)].store(0, std::memory_order_relaxed);
-  }
-  state->chunks = num_chunks;
-  state->body = &body;
-  state->affinity = &affinity;
-  state->counters = counters;
-  state->scheduler = this;
-
-  // Claims and runs chunk `c`; false when someone else got there first.
-  // Affinity accounting happens here, against the thread that actually ran
-  // the body.
-  auto run_chunk = [](AffineState* s, int64_t c) -> bool {
-    uint8_t expected = 0;
-    if (!s->claimed[static_cast<size_t>(c)].compare_exchange_strong(
-            expected, 1, std::memory_order_acq_rel)) {
-      return false;
-    }
-    (*s->body)(c);
-    if (s->counters != nullptr) {
-      const int want = (*s->affinity)[static_cast<size_t>(c)];
-      if (want >= 0 && want < s->scheduler->num_workers()) {
-        if (want == s->scheduler->CurrentWorkerIndex()) {
-          s->counters->affinity_hits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          s->counters->affinity_misses.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (s->done.fetch_add(1, std::memory_order_acq_rel) + 1 == s->chunks) {
-      std::lock_guard<std::mutex> lock(s->m);
-      s->cv.notify_all();
-    }
-    return true;
-  };
-
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    std::shared_ptr<AffineState> st = state;
-    Enqueue(
-        kMorselPriority, [st, run_chunk, c] { run_chunk(st.get(), c); },
-        affinity[static_cast<size_t>(c)], counters);
-  }
-
-  // The caller participates: its own-affinity chunks first (it IS the
-  // preferred executor for those), then every still-unclaimed chunk in
-  // increasing order — the far end from the owners' LIFO pops, so caller
-  // and owners mostly meet in the middle instead of colliding per chunk.
-  const int self = CurrentWorkerIndex();
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    if (affinity[static_cast<size_t>(c)] == self) run_chunk(state.get(), c);
-  }
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    run_chunk(state.get(), c);
-  }
-
   std::unique_lock<std::mutex> lock(state->m);
   state->cv.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) == num_chunks;

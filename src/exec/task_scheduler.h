@@ -57,8 +57,8 @@ class TaskGraph {
 /// A fixed pool of worker threads executing dependency-ordered task DAGs and
 /// morsel-style parallel loops. This is the core of the exec subsystem: the
 /// PhysicalPlan runtime maps program statements onto RunGraph (statement-level
-/// parallelism) and the rel/ops kernels call ParallelFor / ParallelForAffine
-/// from inside those tasks (intra-operator morsel parallelism).
+/// parallelism) and the rel/ops kernels call ParallelFor from inside those
+/// tasks (intra-operator morsel parallelism).
 ///
 /// Scheduling is work-stealing with priority hints. Each worker owns a
 /// priority-bucketed deque: jobs a worker creates (graph successors it
@@ -66,23 +66,18 @@ class TaskGraph {
 /// back LIFO — the hot-in-cache order — while idle threads steal FIFO from
 /// the opposite end, taking the oldest (coldest) job. A shared overflow
 /// queue carries work from outside the pool: external RunGraph callers
-/// (cross-graph admission from the ExecutorPool) seed their graphs there,
-/// and affinity-less jobs from external threads land there too. A thread
-/// out of local work takes the highest-priority job visible across the
-/// overflow queue and every other worker's deque-top hint (overflow wins
-/// ties so external admissions cannot starve behind equal-priority local
-/// work; victims tie-break in scan order from the thief's index + 1).
-///
-/// ParallelForAffine adds sticky placement on top of stealing: each chunk
-/// carries a preferred worker (the one that built the partition the chunk
-/// probes) and is pushed to that worker's deque, so the partition is probed
-/// by the thread whose cache holds it — but remains stealable, so imbalance
-/// never serializes on one hot deque. The query's QueryCounters count how
-/// often placement held (affinity hits) and how often work moved (steals,
-/// affinity misses).
+/// (cross-graph admission from the ExecutorPool) seed their graphs there.
+/// A ParallelFor's helpers always sit on one deque — the forking worker's
+/// own, or a rotating worker's when the fork comes from outside the pool —
+/// and spread by stealing. A thread out of local work takes the
+/// highest-priority job visible across the overflow queue and every other
+/// worker's deque-top hint (overflow wins ties so external admissions
+/// cannot starve behind equal-priority local work; victims tie-break in
+/// scan order from the thief's index + 1).
 ///
 /// ParallelFor morsels run above every graph priority, so in-flight
-/// operators finish before new statements start.
+/// operators finish before new statements start. The query's QueryCounters
+/// count how often work moved between deques (steals).
 ///
 /// Multiple independent TaskGraphs may be in flight at once: RunGraph may be
 /// called concurrently from any number of external threads (one per query in
@@ -95,8 +90,8 @@ class TaskGraph {
 /// long-queued short query's tail.
 ///
 /// Determinism: scheduling only decides WHERE a job runs. Result bytes are
-/// governed by the kernels' morsel-indexed merges, so stealing and affinity
-/// placement never change deterministic-mode output.
+/// governed by the kernels' morsel-indexed outputs, so stealing never
+/// changes any result.
 ///
 /// threads == 1 is the serial specialization: no worker threads are spawned,
 /// every job routes through the overflow queue, and both modes execute
@@ -126,13 +121,12 @@ class TaskScheduler {
 
   int threads() const { return threads_; }
 
-  /// Worker deques (threads() - 1): valid affinity targets are
-  /// [0, num_workers()); -1 means "no preference" (shared overflow).
+  /// Worker threads, each with its own deque: threads() - 1.
   int num_workers() const { return threads_ - 1; }
 
-  /// The calling thread's worker index in this pool, or -1 for threads the
-  /// pool does not own (external RunGraph callers included). Kernels use it
-  /// to record which worker built a partition.
+  /// The calling thread's worker index in this pool, in [0, num_workers()),
+  /// or -1 for threads the pool does not own (external RunGraph callers
+  /// included).
   int CurrentWorkerIndex() const;
 
   /// Cross-query priority aging: the effective priority of a task whose
@@ -180,21 +174,6 @@ class TaskScheduler {
   void ParallelFor(int64_t num_chunks, const std::function<void(int64_t)>& body,
                    std::shared_ptr<QueryCounters> counters);
 
-  /// Affinity-placed variant: chunk c is pushed to worker affinity[c]'s
-  /// deque (values outside [0, num_workers()) mean no preference), where
-  /// the owner pops it LIFO — or any other thread steals it under
-  /// imbalance. Completion never depends on worker availability: every
-  /// chunk is guarded by a claim flag and the caller claims unclaimed
-  /// chunks itself (its own-affinity chunks first, then the rest in
-  /// increasing order — the far end from the owners' LIFO pops). Chunk
-  /// execution order is unspecified; with threads() == 1 the loop runs
-  /// inline in increasing chunk order. `counters` (may be null) receives
-  /// steal counts plus one affinity hit or miss per affinity-tagged chunk.
-  void ParallelForAffine(int64_t num_chunks,
-                         const std::function<void(int64_t)>& body,
-                         const std::vector<int>& affinity,
-                         std::shared_ptr<QueryCounters> counters);
-
  private:
   struct Job {
     std::function<void()> fn;
@@ -207,10 +186,10 @@ class TaskScheduler {
 
   static constexpr int kEmptyPriority = std::numeric_limits<int>::min();
 
-  /// Places a job: affinity target's deque when valid, else the calling
-  /// worker's own deque, else the shared overflow queue (always overflow at
-  /// threads == 1, preserving the pinned serial drain order).
-  void Enqueue(int priority, std::function<void()> fn, int affinity,
+  /// Places a job on worker `worker`'s deque, or on the shared overflow
+  /// queue when `worker` is -1 (always the case at threads == 1, which
+  /// preserves the pinned serial drain order).
+  void Enqueue(int priority, std::function<void()> fn, int worker,
                const std::shared_ptr<QueryCounters>& counters);
   void PushDeque(int worker, int priority, Job job);
   void PushOverflow(int priority, Job job);
@@ -235,6 +214,9 @@ class TaskScheduler {
   /// a push, decremented on pop, so a non-zero count is visible before the
   /// job is; the idle-sleep predicate reads it without touching any deque.
   std::atomic<int64_t> jobs_{0};
+
+  /// Rotates the home deque of helpers forked from outside the pool.
+  std::atomic<unsigned> next_home_{0};
 
   std::mutex mu_;  // guards overflow_ and the idle sleep
   std::condition_variable queue_cv_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <mutex>
 #include <vector>
 
 #include "exec/task_scheduler.h"
@@ -58,12 +56,14 @@ inline void HashColumns(const std::vector<const Value*>& keys, int64_t lo,
 constexpr int64_t kHashBlockRows = 4096;
 
 // Invokes fn(row, hash) for every row in [lo, hi), hashing column-at-a-time
-// in kHashBlockRows blocks through `scratch`.
+// in kHashBlockRows blocks through `scratch`. The block is sized to the input
+// (small relations value-initialize only the hashes they use); every slot is
+// written before it is read.
 template <typename Fn>
 inline void ForEachHashed(const std::vector<const Value*>& keys, int64_t lo,
                           int64_t hi, std::vector<uint64_t>& scratch,
                           Fn&& fn) {
-  scratch.resize(static_cast<size_t>(kHashBlockRows));
+  scratch.resize(static_cast<size_t>(std::min(kHashBlockRows, hi - lo)));
   for (int64_t b = lo; b < hi; b += kHashBlockRows) {
     const int64_t e = std::min(hi, b + kHashBlockRows);
     HashColumns(keys, b, e, scratch.data());
@@ -177,17 +177,35 @@ ColumnIndex BuildIndex(const std::vector<const Value*>& keys, int64_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Parallel kernel machinery (exec subsystem). The serial kernels below stay
-// the single-morsel form; these helpers add hash-partitioned builds and
-// morsel-driven probes when an OpExecOpts carries a multi-thread scheduler.
+// Parallel kernel machinery (exec subsystem). The serial kernels below are
+// what runs unless a kernel forks; when it does, it builds a hash-partitioned
+// index and probes it in contiguous morsels of its probe rows.
 
-// Copies `opts` with morsel_rows resolved: the caller's explicit value, or
-// the L2-targeting auto-tune for `probe_arity` when left at 0. Every kernel
-// resolves once up front and threads the resolved options through.
-inline OpExecOpts ResolveMorselRows(const OpExecOpts& opts, int probe_arity) {
+inline int64_t NumMorsels(int64_t rows, int64_t morsel_rows) {
+  return (rows + morsel_rows - 1) / morsel_rows;
+}
+
+// Copies `opts` with the kernel's fork decision made once, up front, for a
+// probe side of `probe_rows` rows of `probe_arity` columns. morsel_rows is
+// resolved (the caller's explicit value, or AutoMorselRows when left at 0),
+// and the scheduler is dropped when the kernel should run serially: always
+// on a 1-thread pool; with an explicit morsel size, when the probe side fits
+// in one morsel; with an auto-sized one, when it spans fewer than
+// kMinMorselsPerThread morsels per pool thread. Every kernel resolves once
+// and threads the resolved options through, so `opts.scheduler != nullptr`
+// is the fork decision.
+inline OpExecOpts ResolveFork(const OpExecOpts& opts, int probe_arity,
+                              int64_t probe_rows) {
   OpExecOpts resolved = opts;
-  if (resolved.morsel_rows <= 0) {
-    resolved.morsel_rows = AutoMorselRows(probe_arity);
+  const bool auto_sized = resolved.morsel_rows <= 0;
+  if (auto_sized) resolved.morsel_rows = AutoMorselRows(probe_arity);
+  const int threads =
+      opts.scheduler == nullptr ? 1 : opts.scheduler->threads();
+  const int64_t min_morsels =
+      auto_sized ? kMinMorselsPerThread * threads : int64_t{2};
+  if (threads <= 1 ||
+      NumMorsels(probe_rows, resolved.morsel_rows) < min_morsels) {
+    resolved.scheduler = nullptr;
   }
   return resolved;
 }
@@ -214,17 +232,6 @@ inline bool SipReject(const std::vector<const BloomFilter*>* filters,
   return false;
 }
 
-// True when the probe side is worth splitting into morsels. `opts` must be
-// resolved (morsel_rows >= 1).
-inline bool RunParallel(const OpExecOpts& opts, int64_t probe_rows) {
-  return opts.scheduler != nullptr && opts.scheduler->threads() > 1 &&
-         probe_rows > opts.morsel_rows && opts.morsel_rows >= 1;
-}
-
-inline int64_t NumMorsels(int64_t rows, int64_t morsel_rows) {
-  return (rows + morsel_rows - 1) / morsel_rows;
-}
-
 // Radix scatter of row ids [0, n) into 2^bits hash partitions, O(n) total:
 //
 //   1. counting pass (parallel over morsels): hash every row's key columns
@@ -236,23 +243,18 @@ inline int64_t NumMorsels(int64_t rows, int64_t morsel_rows) {
 //   3. scatter pass (parallel over morsels): each morsel writes its row ids
 //      into its own precomputed ranges — cache-friendly contiguous writes.
 //
-// The partition count adapts to the build side: PartitionBitsForBuild widens
-// past the pool-width floor until partitions are cache-resident — or is
-// forced by the caller (forced_bits >= 0): the probe-side scatter must use
-// the BUILD side's partition function so probe partition p matches build
-// partition p exactly. Within each partition the buckets are laid out in
-// morsel order, so a partition's slice lists its rows in increasing global
-// row order — the exact order the serial build inserts them in, which keeps
-// bucket-chain traversal (and thus deterministic-mode output) bit-identical.
-// The row hashes are computed once here and reused by the partition build,
-// its Bloom filters, Project's partitioned dedupe, and Semijoin's
-// partitioned probe.
+// The partition count adapts to the relation (PartitionBitsForBuild widens
+// past the pool-width floor until partitions are cache-resident). Within
+// each partition the buckets are laid out in morsel order, so a partition's
+// slice lists its rows in increasing global row order — the exact order the
+// serial build inserts them in, which keeps bucket-chain traversal (and thus
+// every probe's match order) identical to the serial kernel's. The row
+// hashes are computed once here and reused by the partition build, its
+// Bloom filters, and Project's partitioned dedupe.
 struct RadixScatter {
   RadixScatter(int64_t n, const std::vector<const Value*>& keys,
-               const OpExecOpts& opts, int forced_bits = -1)
-      : bits(forced_bits >= 0
-                 ? forced_bits
-                 : PartitionBitsForBuild(opts.scheduler->threads(), n)) {
+               const OpExecOpts& opts)
+      : bits(PartitionBitsForBuild(opts.scheduler->threads(), n)) {
     const int64_t parts = int64_t{1} << bits;
     const int64_t morsels = NumMorsels(n, opts.morsel_rows);
     // The counting and scatter passes.
@@ -306,13 +308,9 @@ struct RadixScatter {
 // The scatter's hash pass doubles as the Bloom feed: each partition fills
 // its own filter while inserting (gated on the build clearing
 // kMinBloomBuildRows), so probes can reject a partition — and skip its
-// bucket-chain walk entirely — on two bit tests.
-//
-// The build also records which pool worker built each partition (builder()),
-// the anchor of the scheduler's sticky partition affinity: the probe side
-// scatters its morsels by the same partition function and pushes each
-// partition's probe chunks to its builder's deque, so the thread whose cache
-// holds a partition's bucket array probes it (stealable under imbalance).
+// bucket-chain walk entirely — on two bit tests. Each partition inserts its
+// rows in global row order, so a probe walks equal-key build rows in the
+// same order as the serial index's chain.
 class PartitionedColumnIndex {
  public:
   PartitionedColumnIndex(const Relation& rel, const std::vector<int>& cols,
@@ -326,7 +324,6 @@ class PartitionedColumnIndex {
     const int parts = scatter.num_partitions();
     parts_.reserve(static_cast<size_t>(parts));
     blooms_.resize(static_cast<size_t>(parts));
-    builders_.assign(static_cast<size_t>(parts), -1);
     for (int p = 0; p < parts; ++p) {
       const int64_t rows =
           scatter.part_begin[static_cast<size_t>(p) + 1] -
@@ -337,16 +334,6 @@ class PartitionedColumnIndex {
     opts.scheduler->ParallelFor(parts, [&](int64_t p) {
       ColumnIndex& index = parts_[static_cast<size_t>(p)];
       BloomFilter& bloom = blooms_[static_cast<size_t>(p)];
-      // Sticky affinity tag: the worker whose cache now holds this
-      // partition. Partitions built by an external caller thread (index -1,
-      // not a valid steal-placement target) fall back to a deterministic
-      // round-robin worker so their probe chunks still get stable per-
-      // partition placement instead of all landing in the shared overflow.
-      const int built_by = opts.scheduler->CurrentWorkerIndex();
-      const int nw = opts.scheduler->num_workers();
-      builders_[static_cast<size_t>(p)] =
-          built_by >= 0 ? built_by
-                        : (nw > 0 ? static_cast<int>(p) % nw : -1);
       const int64_t hi = scatter.part_begin[static_cast<size_t>(p) + 1];
       for (int64_t k = scatter.part_begin[static_cast<size_t>(p)]; k < hi;
            ++k) {
@@ -367,77 +354,49 @@ class PartitionedColumnIndex {
     return &parts_[p];
   }
 
-  int bits() const { return bits_; }
-  int num_partitions() const { return 1 << bits_; }
-
-  // The pool worker that built partition p (-1: the query's caller thread
-  // built it) — the affinity target for that partition's probe chunks.
-  int builder(int p) const { return builders_[static_cast<size_t>(p)]; }
-
-  const ColumnIndex& part(int p) const {
-    return parts_[static_cast<size_t>(p)];
-  }
-
-  // Partition-p half of Probe() for callers that already scattered their
-  // rows by partition: false iff p's Bloom filter proves `h` cannot match.
-  // Identical accept/reject decisions (same filters, same hashes) keep the
-  // prune counters numerically equal to the Probe() path's.
-  bool PartitionMaybeContains(int p, uint64_t h) const {
-    return !use_bloom_ || blooms_[static_cast<size_t>(p)].MaybeContains(h);
-  }
-
  private:
   std::vector<const Value*> keys_;
   bool use_bloom_;
   int bits_ = 0;
   std::vector<ColumnIndex> parts_;
   std::vector<BloomFilter> blooms_;
-  std::vector<int> builders_;
 };
 
-// Prefix sums of per-chunk output sizes in merge order: offsets[pos] is the
-// output row offset of the chunk at merge position pos, offsets.back() the
-// total. Shared by the join/semijoin compaction passes so the two merge
-// paths cannot diverge.
-template <typename RowsOf>
-std::vector<int64_t> MergeOffsets(const std::vector<int64_t>& order,
-                                  RowsOf&& rows_of) {
-  std::vector<int64_t> offsets(order.size() + 1, 0);
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    offsets[pos + 1] = offsets[pos] + rows_of(order[pos]);
-  }
-  return offsets;
+// The in-order morsel pass every parallel kernel shares: rows [0, n) split
+// into contiguous morsels in row order, and body(m, lo, hi) runs on the pool
+// for each, writing only morsel m's own output. Counts this pass and the
+// gather pass that follows it.
+template <typename Body>
+void ForEachMorsel(const OpExecOpts& opts, int64_t n, Body&& body) {
+  const int64_t morsels = NumMorsels(n, opts.morsel_rows);
+  Tally(opts, &QueryCounters::morsels, 2 * morsels);
+  opts.scheduler->ParallelFor(morsels, [&](int64_t m) {
+    const int64_t lo = m * opts.morsel_rows;
+    body(m, lo, std::min<int64_t>(n, lo + opts.morsel_rows));
+  }, opts.counters);
 }
 
-// The order in which per-morsel outputs are compacted into the result arena:
-// morsel order when `deterministic` (bit-identical to the serial kernel),
-// completion order otherwise (same set, unspecified row order).
-class MergeOrder {
- public:
-  MergeOrder(int64_t chunks, bool deterministic)
-      : deterministic_(deterministic) {
-    if (deterministic_) {
-      order_.resize(static_cast<size_t>(chunks));
-      for (int64_t c = 0; c < chunks; ++c) order_[static_cast<size_t>(c)] = c;
-    } else {
-      order_.reserve(static_cast<size_t>(chunks));
-    }
+// The gather pass after ForEachMorsel: an exclusive prefix sum over the
+// per-morsel id vectors' sizes, in morsel order, places every morsel's
+// output rows; one AppendRows makes room for all of them, and
+// gather(m, dst) runs on the pool for each non-empty morsel m, dst being
+// its first output row. Because morsels are row ranges visited in order,
+// this concatenation is the serial kernel's output order.
+template <typename Gather>
+void GatherMorsels(const OpExecOpts& opts,
+                   const std::vector<std::vector<int64_t>>& per_morsel,
+                   Relation& out, Gather&& gather) {
+  std::vector<int64_t> offsets(per_morsel.size() + 1, 0);
+  for (size_t m = 0; m < per_morsel.size(); ++m) {
+    offsets[m + 1] = offsets[m] + static_cast<int64_t>(per_morsel[m].size());
   }
-
-  // Called by each morsel as it finishes.
-  void Record(int64_t chunk) {
-    if (deterministic_) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    order_.push_back(chunk);
-  }
-
-  const std::vector<int64_t>& order() const { return order_; }
-
- private:
-  bool deterministic_;
-  std::mutex mu_;
-  std::vector<int64_t> order_;
-};
+  const int64_t base = out.AppendRows(offsets.back());
+  opts.scheduler->ParallelFor(
+      static_cast<int64_t>(per_morsel.size()), [&](int64_t m) {
+        const size_t k = static_cast<size_t>(m);
+        if (!per_morsel[k].empty()) gather(k, base + offsets[k]);
+      }, opts.counters);
+}
 
 }  // namespace
 
@@ -447,7 +406,7 @@ Relation Project(const Relation& r, const AttrSet& x) {
 
 Relation Project(const Relation& r, const AttrSet& x,
                  const OpExecOpts& caller_opts) {
-  const OpExecOpts opts = ResolveMorselRows(caller_opts, r.Arity());
+  const OpExecOpts opts = ResolveFork(caller_opts, r.Arity(), r.NumRows());
   GYO_CHECK_MSG(x.IsSubsetOf(r.Schema()), "projection target not in schema");
   Relation out(x);
   std::vector<int> cols;
@@ -464,7 +423,7 @@ Relation Project(const Relation& r, const AttrSet& x,
 
   const std::vector<const Value*> keys = KeyCols(r, cols);
 
-  if (!RunParallel(opts, n)) {
+  if (opts.scheduler == nullptr) {
     // First-occurrence selection: an incremental ColumnIndex over the input
     // keyed on the projected columns records every distinct key's first row;
     // one gather pass per column then compacts the survivors. No sort — the
@@ -492,9 +451,8 @@ Relation Project(const Relation& r, const AttrSet& x,
   // within-partition first occurrence IS the global first occurrence. The
   // partition tasks dedupe concurrently into a shared per-row survivor
   // bitmap (disjoint bytes — every row belongs to exactly one partition),
-  // then a morsel-parallel compaction gathers the survivors per column in
-  // row order: always bit-identical to the serial kernel, deterministic
-  // mode or not.
+  // then the morsels collect their survivors in row order and gather them
+  // per column: always bit-identical to the serial kernel.
   RadixScatter scatter(n, keys, opts);
   const int parts = scatter.num_partitions();
   std::vector<uint8_t> survives(static_cast<size_t>(n), 0);
@@ -511,36 +469,20 @@ Relation Project(const Relation& r, const AttrSet& x,
     }
   }, opts.counters);
 
-  // Compaction: per-morsel survivor selection vectors, prefix sum, then
-  // parallel per-column gathers into disjoint ranges of the output arenas,
-  // in row order. Two morsel passes, counted like RadixScatter's.
-  const int64_t chunks = NumMorsels(n, opts.morsel_rows);
-  Tally(opts, &QueryCounters::morsels, 2 * chunks);
-  std::vector<std::vector<int64_t>> selected(static_cast<size_t>(chunks));
-  opts.scheduler->ParallelFor(chunks, [&](int64_t c) {
-    const int64_t lo = c * opts.morsel_rows;
-    const int64_t hi = std::min<int64_t>(n, lo + opts.morsel_rows);
-    std::vector<int64_t>& sel = selected[static_cast<size_t>(c)];
+  std::vector<std::vector<int64_t>> selected(
+      static_cast<size_t>(NumMorsels(n, opts.morsel_rows)));
+  ForEachMorsel(opts, n, [&](int64_t m, int64_t lo, int64_t hi) {
+    std::vector<int64_t>& sel = selected[static_cast<size_t>(m)];
     for (int64_t i = lo; i < hi; ++i) {
       if (survives[static_cast<size_t>(i)]) sel.push_back(i);
     }
-  }, opts.counters);
-  std::vector<int64_t> offsets(static_cast<size_t>(chunks) + 1, 0);
-  for (int64_t c = 0; c < chunks; ++c) {
-    offsets[static_cast<size_t>(c) + 1] =
-        offsets[static_cast<size_t>(c)] +
-        static_cast<int64_t>(selected[static_cast<size_t>(c)].size());
-  }
-  const int64_t base = out.AppendRows(offsets.back());
-  opts.scheduler->ParallelFor(chunks, [&](int64_t c) {
-    const std::vector<int64_t>& sel = selected[static_cast<size_t>(c)];
-    if (sel.empty()) return;
-    const int64_t dst = base + offsets[static_cast<size_t>(c)];
+  });
+  GatherMorsels(opts, selected, out, [&](size_t m, int64_t dst) {
     for (size_t k = 0; k < cols.size(); ++k) {
-      GatherColumn(r.ColData(cols[k]), sel,
+      GatherColumn(r.ColData(cols[k]), selected[m],
                    out.ColData(static_cast<int>(k)) + dst);
     }
-  }, opts.counters);
+  });
   return out;
 }
 
@@ -553,7 +495,8 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
   // The probe side is the larger input (chosen below); auto-tune for the
   // wider of the two arities, the conservative cache-residency choice.
   const OpExecOpts opts =
-      ResolveMorselRows(caller_opts, std::max(r.Arity(), s.Arity()));
+      ResolveFork(caller_opts, std::max(r.Arity(), s.Arity()),
+                  std::max(r.NumRows(), s.NumRows()));
   AttrSet common = r.Schema().Intersect(s.Schema());
   AttrSet result_schema = r.Schema().Union(s.Schema());
   Relation out(result_schema);
@@ -604,7 +547,7 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
   // Distinct (probe, build) row pairs yield distinct output tuples (the
   // output determines both inputs), so duplicate-free inputs give a
   // duplicate-free output; no dedupe or sort is needed on either path.
-  if (!RunParallel(opts, probe.NumRows())) {
+  if (opts.scheduler == nullptr) {
     BloomFilter bloom;
     const ColumnIndex index =
         BuildIndex(KeyCols(build, build_cols), build.NumRows(), &bloom);
@@ -630,128 +573,40 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
     return out;
   }
 
-  // Parallel form: partitioned Bloom-filtered hash build, then a PROBE-SIDE
-  // radix scatter of the probe relation by the build's own partition
-  // function (the same structure Semijoin's parallel kernel uses): each
-  // probe chunk walks exactly one cache-resident partition — bucket array
-  // plus Bloom filter — instead of every morsel touching all of them, and
-  // carries sticky affinity to the worker that built its partition
-  // (stealable under imbalance). The Bloom accept/reject decisions reuse
-  // the same filters on the same hashes as the morsel-range path did, so
-  // the prune counters are numerically unchanged.
+  // Parallel form: a partitioned Bloom-filtered hash build, then the
+  // in-order morsel probe. Each morsel collects its (probe, build) id pairs
+  // in probe-row order, with each row's matches in the partition chain's
+  // order — the serial chain's order, since equal keys share a partition and
+  // partitions insert in global build-row order. Concatenating the morsels
+  // in morsel order therefore yields the serial kernel's output row for
+  // row, with no merge pass.
   PartitionedColumnIndex index(build, build_cols, opts);
   const int64_t n = probe.NumRows();
-  RadixScatter probe_scatter(n, probe_keys, opts, index.bits());
-
-  struct ProbeChunk {
-    int part;
-    int64_t lo, hi;  // range of probe_scatter.row_ids
-  };
-  std::vector<ProbeChunk> probe_chunks;
-  std::vector<int> affinity;
-  for (int p = 0; p < index.num_partitions(); ++p) {
-    const int64_t plo = probe_scatter.part_begin[static_cast<size_t>(p)];
-    const int64_t phi = probe_scatter.part_begin[static_cast<size_t>(p) + 1];
-    if (plo == phi) continue;
-    const int64_t step = ClampMorselToPartition(opts.morsel_rows, phi - plo);
-    for (int64_t lo = plo; lo < phi; lo += step) {
-      probe_chunks.push_back(ProbeChunk{p, lo, std::min(phi, lo + step)});
-      affinity.push_back(index.builder(p));
-    }
-  }
-  const int64_t chunks = static_cast<int64_t>(probe_chunks.size());
-  Tally(opts, &QueryCounters::morsels, chunks);
-  std::vector<std::vector<int64_t>> probe_ids(static_cast<size_t>(chunks));
-  std::vector<std::vector<int64_t>> build_ids(static_cast<size_t>(chunks));
-  MergeOrder merge(chunks, opts.deterministic);
-  // Deterministic mode restores the serial output order with a k-way merge
-  // of the per-partition runs: per-probe-row match counts (written
-  // disjointly — every probe row lives in exactly one chunk) are prefix-
-  // summed over GLOBAL row order below, which interleaves the runs exactly
-  // as the serial probe would have emitted them.
-  std::vector<int64_t> row_matches;
-  if (opts.deterministic) row_matches.assign(static_cast<size_t>(n), 0);
-  opts.scheduler->ParallelForAffine(
-      chunks,
-      [&](int64_t c) {
-        const ProbeChunk& chunk = probe_chunks[static_cast<size_t>(c)];
-        const ColumnIndex& part = index.part(chunk.part);
-        std::vector<int64_t>& pids = probe_ids[static_cast<size_t>(c)];
-        std::vector<int64_t>& bids = build_ids[static_cast<size_t>(c)];
-        int64_t pruned = 0;
-        for (int64_t k = chunk.lo; k < chunk.hi; ++k) {
-          const int64_t i = probe_scatter.row_ids[static_cast<size_t>(k)];
-          const uint64_t h = probe_scatter.hashes[static_cast<size_t>(i)];
-          if (!index.PartitionMaybeContains(chunk.part, h)) {
-            ++pruned;
-            continue;
-          }
-          part.ForEachMatchHashed(probe_keys, i, h, [&](int64_t j) {
-            pids.push_back(i);
-            bids.push_back(j);
-          });
-        }
-        if (opts.deterministic) {
-          for (int64_t p : pids) ++row_matches[static_cast<size_t>(p)];
-        }
-        Tally(opts, &QueryCounters::probe_rows_pruned, pruned);
-        Tally(opts, &QueryCounters::bloom_partition_skips, pruned);
-        merge.Record(c);
-      },
-      affinity, opts.counters);
-
-  if (opts.deterministic) {
-    // Exclusive prefix sum over global probe-row order: row i's matches
-    // land at [row_start[i], row_start[i] + row_matches[i]) — the offset
-    // the serial kernel writes them to. Within one probe row the matches
-    // arrived in the partition chain's most-recent-first order, which
-    // equals the serial chain's order (equal keys share a partition, and
-    // partitions insert in global build-row order), so the whole output is
-    // bit-identical to serial. The scatter is parallel: one probe row's
-    // pairs are contiguous within its single producing chunk.
-    std::vector<int64_t> row_start(static_cast<size_t>(n));
-    int64_t total = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      row_start[static_cast<size_t>(i)] = total;
-      total += row_matches[static_cast<size_t>(i)];
-    }
-    const int64_t base = out.AppendRows(total);
-    opts.scheduler->ParallelFor(chunks, [&](int64_t c) {
-      const std::vector<int64_t>& pids = probe_ids[static_cast<size_t>(c)];
-      if (pids.empty()) return;
-      const std::vector<int64_t>& bids = build_ids[static_cast<size_t>(c)];
-      std::vector<int64_t> dst(pids.size());
-      int64_t run = 0;
-      for (size_t t = 0; t < pids.size(); ++t) {
-        run = (t > 0 && pids[t] == pids[t - 1]) ? run + 1 : 0;
-        dst[t] = row_start[static_cast<size_t>(pids[t])] + run;
+  const size_t morsels = static_cast<size_t>(NumMorsels(n, opts.morsel_rows));
+  std::vector<std::vector<int64_t>> probe_ids(morsels);
+  std::vector<std::vector<int64_t>> build_ids(morsels);
+  ForEachMorsel(opts, n, [&](int64_t m, int64_t lo, int64_t hi) {
+    std::vector<int64_t>& pids = probe_ids[static_cast<size_t>(m)];
+    std::vector<int64_t>& bids = build_ids[static_cast<size_t>(m)];
+    std::vector<uint64_t> scratch;
+    int64_t pruned = 0;
+    ForEachHashed(probe_keys, lo, hi, scratch, [&](int64_t i, uint64_t h) {
+      const ColumnIndex* part = index.Probe(h);
+      if (part == nullptr) {
+        ++pruned;
+        return;
       }
-      for (size_t k = 0; k < sources.size(); ++k) {
-        const Relation& src = sources[k].from_probe ? probe : build;
-        const Value* col = src.ColData(sources[k].col);
-        const std::vector<int64_t>& ids = sources[k].from_probe ? pids : bids;
-        Value* out_col = out.ColData(static_cast<int>(k)) + base;
-        for (size_t t = 0; t < ids.size(); ++t) {
-          out_col[dst[t]] = col[static_cast<size_t>(ids[t])];
-        }
-      }
-    }, opts.counters);
-    return out;
-  }
-
-  // Non-deterministic mode: concatenate chunk outputs in completion order
-  // (same set of pairs, unspecified row order) — no merge pass at all.
-  std::vector<int64_t> offsets = MergeOffsets(merge.order(), [&](int64_t c) {
-    return static_cast<int64_t>(probe_ids[static_cast<size_t>(c)].size());
+      part->ForEachMatchHashed(probe_keys, i, h, [&](int64_t j) {
+        pids.push_back(i);
+        bids.push_back(j);
+      });
+    });
+    Tally(opts, &QueryCounters::probe_rows_pruned, pruned);
+    Tally(opts, &QueryCounters::bloom_partition_skips, pruned);
   });
-  const int64_t base = out.AppendRows(offsets.back());
-  opts.scheduler->ParallelFor(chunks, [&](int64_t pos) {
-    const int64_t c = merge.order()[static_cast<size_t>(pos)];
-    if (probe_ids[static_cast<size_t>(c)].empty()) return;
-    GatherPairs(probe_ids[static_cast<size_t>(c)],
-                build_ids[static_cast<size_t>(c)],
-                base + offsets[static_cast<size_t>(pos)]);
-  }, opts.counters);
+  GatherMorsels(opts, probe_ids, out, [&](size_t m, int64_t dst) {
+    GatherPairs(probe_ids[m], build_ids[m], dst);
+  });
   return out;
 }
 
@@ -761,7 +616,7 @@ Relation Semijoin(const Relation& r, const Relation& s) {
 
 Relation Semijoin(const Relation& r, const Relation& s,
                   const OpExecOpts& caller_opts) {
-  const OpExecOpts opts = ResolveMorselRows(caller_opts, r.Arity());
+  const OpExecOpts opts = ResolveFork(caller_opts, r.Arity(), r.NumRows());
   AttrSet common = r.Schema().Intersect(s.Schema());
   Relation out(r.Schema());
   std::vector<int> r_cols;
@@ -797,7 +652,7 @@ Relation Semijoin(const Relation& r, const Relation& s,
     }
   };
 
-  if (!RunParallel(opts, r.NumRows())) {
+  if (opts.scheduler == nullptr) {
     BloomFilter bloom;
     const ColumnIndex index =
         BuildIndex(KeyCols(s, s_cols), s.NumRows(), &bloom);
@@ -832,100 +687,42 @@ Relation Semijoin(const Relation& r, const Relation& s,
     return out;
   }
 
-  // Parallel form: partitioned Bloom-filtered build over s, then a
-  // PROBE-SIDE radix scatter of r by the build's own partition function, so
-  // each probe task walks exactly one cache-resident partition (bucket
-  // array + Bloom filter) instead of every morsel touching all of them. The
-  // chunks carry sticky affinity: partition p's probe chunks go to the
-  // worker that built partition p first (stealable under imbalance —
-  // ParallelForAffine). Chunk sizes are clamped per partition
-  // (ClampMorselToPartition) so no chunk ever spans a partition boundary.
-  //
-  // Survivors land in a shared per-row bitmap (disjoint bytes — each probe
-  // row belongs to exactly one partition) and are compacted in input row
-  // order, so the output is bit-identical to the serial kernel's in BOTH
-  // determinism modes; scheduling only decides where each chunk runs. The
-  // Bloom accept/reject decisions reuse the build's filters on the same
-  // hashes as the morsel-range path did, so the prune counters are
-  // numerically unchanged.
+  // Parallel form: a partitioned Bloom-filtered build over s, then the
+  // in-order morsel probe of r. Each morsel checks SIP first, then the
+  // probed partition's Bloom filter and bucket chain, and records its
+  // surviving row ids in row order; the morsels' selections concatenate in
+  // morsel order into the serial kernel's selection. The SIP and Bloom
+  // decisions use the same filters on the same hashes wherever a probe runs,
+  // so the prune counters do not depend on the thread count or morsel size.
   PartitionedColumnIndex index(s, s_cols, opts);
   const int64_t n = r.NumRows();
-  RadixScatter probe_scatter(n, probe_keys, opts, index.bits());
-
-  struct ProbeChunk {
-    int part;
-    int64_t lo, hi;  // range of probe_scatter.row_ids
-  };
-  std::vector<ProbeChunk> probe_chunks;
-  std::vector<int> affinity;
-  for (int p = 0; p < index.num_partitions(); ++p) {
-    const int64_t plo = probe_scatter.part_begin[static_cast<size_t>(p)];
-    const int64_t phi = probe_scatter.part_begin[static_cast<size_t>(p) + 1];
-    if (plo == phi) continue;
-    const int64_t step = ClampMorselToPartition(opts.morsel_rows, phi - plo);
-    for (int64_t lo = plo; lo < phi; lo += step) {
-      probe_chunks.push_back(ProbeChunk{p, lo, std::min(phi, lo + step)});
-      affinity.push_back(index.builder(p));
-    }
-  }
-  Tally(opts, &QueryCounters::morsels,
-        static_cast<int64_t>(probe_chunks.size()));
-  std::vector<uint8_t> survives(static_cast<size_t>(n), 0);
-  opts.scheduler->ParallelForAffine(
-      static_cast<int64_t>(probe_chunks.size()),
-      [&](int64_t c) {
-        const ProbeChunk& chunk = probe_chunks[static_cast<size_t>(c)];
-        const ColumnIndex& part = index.part(chunk.part);
-        int64_t pruned = 0;
-        int64_t sip_pruned = 0;
-        for (int64_t k = chunk.lo; k < chunk.hi; ++k) {
-          const int64_t i = probe_scatter.row_ids[static_cast<size_t>(k)];
-          const uint64_t h = probe_scatter.hashes[static_cast<size_t>(i)];
-          if (SipReject(opts.sip_filters, h)) {
-            ++sip_pruned;
-            continue;
-          }
-          if (!index.PartitionMaybeContains(chunk.part, h)) {
-            ++pruned;
-            continue;
-          }
-          if (part.ContainsHashed(probe_keys, i, h)) {
-            survives[static_cast<size_t>(i)] = 1;
-          }
-        }
-        Tally(opts, &QueryCounters::probe_rows_pruned, pruned);
-        Tally(opts, &QueryCounters::bloom_partition_skips, pruned);
-        Tally(opts, &QueryCounters::sip_rows_pruned, sip_pruned);
-      },
-      affinity, opts.counters);
-
-  // Compaction in input row order (same two-pass shape as Project's):
-  // per-morsel survivor selection vectors, prefix sum, parallel gathers.
-  const int64_t chunks = NumMorsels(n, opts.morsel_rows);
-  Tally(opts, &QueryCounters::morsels, 2 * chunks);
-  std::vector<std::vector<int64_t>> selected(static_cast<size_t>(chunks));
-  opts.scheduler->ParallelFor(chunks, [&](int64_t c) {
-    const int64_t lo = c * opts.morsel_rows;
-    const int64_t hi = std::min<int64_t>(n, lo + opts.morsel_rows);
-    std::vector<int64_t>& sel = selected[static_cast<size_t>(c)];
-    for (int64_t i = lo; i < hi; ++i) {
-      if (survives[static_cast<size_t>(i)]) sel.push_back(i);
-    }
-  }, opts.counters);
-  std::vector<int64_t> offsets(static_cast<size_t>(chunks) + 1, 0);
-  for (int64_t c = 0; c < chunks; ++c) {
-    offsets[static_cast<size_t>(c) + 1] =
-        offsets[static_cast<size_t>(c)] +
-        static_cast<int64_t>(selected[static_cast<size_t>(c)].size());
-  }
-  const int64_t base = out.AppendRows(offsets.back());
-  opts.scheduler->ParallelFor(chunks, [&](int64_t c) {
-    const std::vector<int64_t>& sel = selected[static_cast<size_t>(c)];
-    if (sel.empty()) return;
-    GatherSelected(sel, base + offsets[static_cast<size_t>(c)]);
-  }, opts.counters);
-  // Row-ordered compaction of a canonical input is still a subsequence —
-  // in both determinism modes (the survivor bitmap erases scheduling order).
+  std::vector<std::vector<int64_t>> selected(
+      static_cast<size_t>(NumMorsels(n, opts.morsel_rows)));
+  ForEachMorsel(opts, n, [&](int64_t m, int64_t lo, int64_t hi) {
+    std::vector<int64_t>& sel = selected[static_cast<size_t>(m)];
+    std::vector<uint64_t> scratch;
+    int64_t pruned = 0;
+    int64_t sip_pruned = 0;
+    ForEachHashed(probe_keys, lo, hi, scratch, [&](int64_t i, uint64_t h) {
+      if (SipReject(opts.sip_filters, h)) {
+        ++sip_pruned;
+        return;
+      }
+      const ColumnIndex* part = index.Probe(h);
+      if (part == nullptr) {
+        ++pruned;
+        return;
+      }
+      if (part->ContainsHashed(probe_keys, i, h)) sel.push_back(i);
+    });
+    Tally(opts, &QueryCounters::probe_rows_pruned, pruned);
+    Tally(opts, &QueryCounters::bloom_partition_skips, pruned);
+    Tally(opts, &QueryCounters::sip_rows_pruned, sip_pruned);
+  });
+  GatherMorsels(opts, selected, out, [&](size_t m, int64_t dst) {
+    GatherSelected(selected[m], dst);
+  });
+  // A subsequence of a canonical relation is still sorted and unique.
   if (r.IsCanonical()) out.MarkCanonical();
   return out;
 }

@@ -27,42 +27,36 @@ class BloomFilter;
 /// set cardinality — but they are NOT necessarily sorted: canonical form is
 /// established lazily (EqualsAsSet() canonicalizes on demand). Semijoin is
 /// the exception: it selects a subsequence of its left input, so a canonical
-/// input yields a canonical output (every Semijoin form — the parallel
-/// probe-side-scattered kernel compacts survivors in row order regardless of
-/// the determinism mode).
+/// input yields a canonical output (serial and parallel forms alike).
 
 /// Execution options threaded through the kernels by the exec runtime
 /// (exec/physical_plan.h). Default-constructed options run the serial
-/// engine. With a scheduler attached and a probe side larger than one
-/// morsel, the kernels switch to their parallel form: a radix-scatter
+/// engine. With a scheduler attached and enough probe rows (see
+/// morsel_rows), a kernel forks into its parallel form: a radix-scatter
 /// partitioned build (one counting pass + prefix-sum layout + one scatter
 /// pass lay every row id into its hash partition's contiguous region, then
 /// the partitions build concurrently from their own rows — O(n) total work,
-/// with a per-partition Bloom filter filled from the same hash pass) plus a
-/// morsel-driven probe over row ranges of the input columns, each morsel
-/// collecting a selection/match vector that a final per-column gather pass
-/// compacts into the output arenas. Project reuses the same scatter
-/// structure for a partitioned cross-morsel dedupe (see ops.cc).
+/// with a per-partition Bloom filter filled from the same hash pass), then
+/// an in-order morsel probe: contiguous row ranges of the probe side, each
+/// collecting its selection or match ids in row order, concatenated in
+/// morsel order by one per-column gather pass. Every parallel result is
+/// bit-identical (row order and canonical flag included) to the serial
+/// kernel's at every thread count and morsel size. Project reuses the
+/// scatter structure for a partitioned cross-morsel dedupe (see ops.cc).
 struct OpExecOpts {
   /// Pool to fan morsels out on; nullptr (or a 1-thread pool) = serial.
   exec::TaskScheduler* scheduler = nullptr;
-  /// Probe rows per morsel. Inputs of at most this many rows run serially.
-  /// 0 (the default) auto-tunes per kernel from the probe relation's arity
-  /// via AutoMorselRows below.
+  /// Probe rows per morsel. An explicit value forks any probe side of more
+  /// than one morsel (tests and benches set it to force splits on small
+  /// data). 0 (the default) auto-tunes the size from the probe relation's
+  /// arity via AutoMorselRows, and then forks only probe sides of at least
+  /// kMinMorselsPerThread morsels per pool thread.
   int64_t morsel_rows = 0;
-  /// When true, morsel outputs merge in morsel order and every result is
-  /// bit-identical (row order and canonical flag included) to the serial
-  /// kernel's. When false, morsels merge in completion order: the same set
-  /// of rows in unspecified physical order. (Semijoin and Project are
-  /// order-preserving in both modes — their compactions gather survivors in
-  /// input row order — so only NaturalJoin's output order depends on this.)
-  bool deterministic = true;
   /// When non-null, the query's counter block: the kernels add the morsels
-  /// they dispatch, their Bloom, SIP and zone-map pruning, and (through the
-  /// scheduler's parallel loops) steals and partition-affinity hits and
-  /// misses. Purely observational — counting never changes results. Shared
-  /// ownership: queued jobs co-own the block, so a job drained after the
-  /// owning query finished never dangles.
+  /// they dispatch and their Bloom, SIP and zone-map pruning, and the
+  /// scheduler's parallel loops add steals. Purely observational — counting
+  /// never changes results. Shared ownership: queued jobs co-own the block,
+  /// so a job drained after the owning query finished never dangles.
   std::shared_ptr<exec::QueryCounters> counters;
   /// Sideways-information-passing filters (exec/physical_plan.cc): Bloom
   /// filters built over a LATER chain statement's build side, keyed on the
@@ -80,6 +74,7 @@ struct OpExecOpts {
 /// 1 MiB per-core L2, leaving headroom for the build side and the morsel's
 /// output buffer — clamped to [kMinMorselRows, kMaxMorselRows] so tiny
 /// arities don't defeat dispatch amortization and huge ones still split.
+/// That is 5–16 K rows at arity 2–6.
 constexpr int64_t kMorselTargetBytes = 256 * 1024;
 constexpr int64_t kMinMorselRows = 256;
 constexpr int64_t kMaxMorselRows = 1 << 16;
@@ -91,6 +86,15 @@ constexpr int64_t AutoMorselRows(int arity) {
                                (static_cast<int64_t>(arity < 1 ? 1 : arity) *
                                 static_cast<int64_t>(sizeof(Value)))));
 }
+
+/// The fork grain of auto-sized morsels: a kernel whose morsel size is
+/// auto-tuned runs its parallel form only when its probe side spans at
+/// least kMinMorselsPerThread × (pool threads) morsels. A fork pays a
+/// partitioned build and several join barriers whose helpers reach the pool
+/// late, so below this many morsels per thread the serial kernel is faster
+/// (BM_Exec_KernelGrain in bench/bench_exec.cc measures the crossover).
+/// Explicit morsel sizes keep forking at two morsels.
+constexpr int64_t kMinMorselsPerThread = 8;
 
 /// Build-side hash partitioning: the parallel kernels split a hash build
 /// into 2^bits partitions, where partition p owns the rows whose key hash
@@ -127,24 +131,6 @@ constexpr int PartitionBitsForBuild(int threads, int64_t build_rows) {
 
 constexpr size_t PartitionOf(uint64_t h, int bits) {
   return bits == 0 ? 0 : static_cast<size_t>(h >> (64 - bits));
-}
-
-/// Probe-side scatter chunking: the chunk size for splitting one partition
-/// of `part_rows` probe rows into parallel tasks, given the configured
-/// morsel size. Chunks never span a partition boundary (the partition is
-/// split on its own), so each probe task walks exactly one cache-resident
-/// partition; within the partition the rows are divided into
-/// ceil(part_rows / morsel_rows) equal-ish chunks rather than
-/// morsel_rows-sized chunks plus a remainder tail — the last task would
-/// otherwise be arbitrarily small and dispatch overhead per partition would
-/// spike at part_rows = k * morsel_rows + 1. The result is always in
-/// [1, morsel_rows] for part_rows >= 1.
-constexpr int64_t ClampMorselToPartition(int64_t morsel_rows,
-                                         int64_t part_rows) {
-  if (part_rows <= 0) return morsel_rows < 1 ? 1 : morsel_rows;
-  if (morsel_rows < 1) return 1;
-  const int64_t chunks = (part_rows + morsel_rows - 1) / morsel_rows;
-  return (part_rows + chunks - 1) / chunks;
 }
 
 /// Bloom filter over 64-bit key hashes: a power-of-two bit array with two
@@ -208,9 +194,8 @@ Relation NaturalJoin(const Relation& r, const Relation& s,
 
 /// r ⋉ s: natural semijoin, π_R(r ⋈ s) computed without materializing the
 /// join (membership probes + one per-column gather over a selection
-/// vector). Canonical input r gives canonical output (every form: the
-/// parallel kernel compacts survivors in row order in both determinism
-/// modes).
+/// vector). Canonical input r gives canonical output (serial and parallel
+/// forms alike: both select survivors in row order).
 Relation Semijoin(const Relation& r, const Relation& s);
 Relation Semijoin(const Relation& r, const Relation& s,
                   const OpExecOpts& opts);

@@ -36,8 +36,8 @@ std::optional<std::vector<Relation>> ApplyFullReducer(
 /// Program and run on the exec runtime, where the dataflow DAG lets
 /// independent subtree semijoins of the upward/downward passes run
 /// concurrently (and each large semijoin split into morsels). With the
-/// default context this is exactly the serial reducer; in deterministic mode
-/// the reduced states are bit-identical to it at any thread count.
+/// default context this is exactly the serial reducer; the reduced states
+/// are bit-identical to it at any thread count.
 std::optional<std::vector<Relation>> ApplyFullReducer(
     const DatabaseSchema& d, const std::vector<Relation>& states,
     const exec::ExecContext& ctx);
@@ -60,9 +60,9 @@ std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
                                        int* steps = nullptr);
 
 /// Parallel form: the same round schedule on `ctx`'s pool. With the default
-/// (serial) context this is exactly the overload above; in deterministic
-/// mode the fixpoint states — and the `steps` count — are bit-identical to
-/// it at any thread count. ctx.retire_consumed/retain_states are ignored
+/// (serial) context this is exactly the overload above; the fixpoint
+/// states — and the `steps` count — are bit-identical to it at any thread
+/// count. ctx.retire_consumed/retain_states are ignored
 /// (rounds run unretired: the convergence check reads every chain's input
 /// row counts); ctx.query_stats, when set, receives totals accumulated
 /// across all rounds (peak_state_bytes is the max round's peak), including

@@ -278,8 +278,8 @@ class Relation {
 
   /// Physical equality: same schema, same row count, same values in the
   /// same physical row order, same canonical flag. This is the
-  /// deterministic-mode bit-identity check the parallel-vs-serial property
-  /// tests pin (EqualsAsSet, by contrast, canonicalizes away row order).
+  /// bit-identity check the parallel-vs-serial property tests pin
+  /// (EqualsAsSet, by contrast, canonicalizes away row order).
   bool IdenticalTo(const Relation& other) const {
     return schema_ == other.schema_ && num_rows_ == other.num_rows_ &&
            canonical_ == other.canonical_ && cols_ == other.cols_;

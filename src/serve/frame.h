@@ -112,7 +112,8 @@ struct QueryRequest {
   /// Fairness class for admission round-robin and backlog bounds; 0 = the
   /// server assigns the connection's own id (per-connection fairness).
   uint64_t submitter = 0;
-  /// Deterministic execution (bit-identical to a serial run); on by default.
+  /// Flag bit 0, on by default. Every result is bit-identical to a serial
+  /// run whatever this says; only requests with it set use the result cache.
   bool deterministic = true;
   /// Attach plan diagnostics (statement count, critical path, ...) to the
   /// response.

@@ -26,10 +26,11 @@ namespace serve {
 /// oversized length prefix gets kFrameTooLarge followed by a close (the
 /// stream cannot be resynchronized).
 ///
-/// In deterministic mode (the request default) results are bit-identical to
-/// a direct serial exec::Run of the same program — the property the serve
-/// end-to-end tests pin with Relation::IdenticalTo across concurrent
-/// clients.
+/// Results are bit-identical to a direct serial exec::Run of the same
+/// program — the property the serve end-to-end tests pin with
+/// Relation::IdenticalTo across concurrent clients. A request's
+/// deterministic bit no longer changes its result; it only decides whether
+/// the result cache is consulted.
 struct ServerOptions {
   /// Address to bind; the daemon is loopback-only by default.
   std::string bind_address = "127.0.0.1";

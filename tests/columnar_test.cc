@@ -124,12 +124,10 @@ struct RelPair {
   Relation s;
 };
 
-OpExecOpts PooledOpts(exec::TaskScheduler* pool, int64_t morsel_rows,
-                      bool deterministic) {
+OpExecOpts PooledOpts(exec::TaskScheduler* pool, int64_t morsel_rows) {
   OpExecOpts opts;
   opts.scheduler = pool;
   opts.morsel_rows = morsel_rows;
-  opts.deterministic = deterministic;
   return opts;
 }
 
@@ -171,23 +169,20 @@ TEST(ColumnarTest, ParallelKernelsMatchReferenceAtEveryWidth) {
   ASSERT_TRUE(Relation(serial_proj).EqualsAsSet(ref_proj));
   for (int threads : {2, 4, 8}) {
     exec::TaskScheduler pool(threads);
-    for (bool deterministic : {true, false}) {
-      OpExecOpts opts = PooledOpts(&pool, 64, deterministic);
-      Relation semi = Semijoin(p.r, p.s, opts);
-      Relation join = NaturalJoin(p.r, p.s, opts);
-      Relation proj = Project(p.r, AttrSet{0}, opts);
-      if (deterministic) {
-        // Bit-identical to the serial engine: same rows, same physical row
-        // order, same canonical flags.
-        EXPECT_TRUE(semi.IdenticalTo(serial_semi)) << "threads " << threads;
-        EXPECT_TRUE(join.IdenticalTo(serial_join)) << "threads " << threads;
-        EXPECT_TRUE(proj.IdenticalTo(serial_proj)) << "threads " << threads;
-      } else {
-        EXPECT_TRUE(semi.EqualsAsSet(ref_semi)) << "threads " << threads;
-        EXPECT_TRUE(join.EqualsAsSet(ref_join)) << "threads " << threads;
-        EXPECT_TRUE(proj.EqualsAsSet(ref_proj)) << "threads " << threads;
-      }
-    }
+    OpExecOpts opts = PooledOpts(&pool, 64);
+    Relation semi = Semijoin(p.r, p.s, opts);
+    Relation join = NaturalJoin(p.r, p.s, opts);
+    Relation proj = Project(p.r, AttrSet{0}, opts);
+    // Bit-identical to the serial engine: same rows, same physical row
+    // order, same canonical flags.
+    EXPECT_TRUE(semi.IdenticalTo(serial_semi)) << "threads " << threads;
+    EXPECT_TRUE(join.IdenticalTo(serial_join)) << "threads " << threads;
+    EXPECT_TRUE(proj.IdenticalTo(serial_proj)) << "threads " << threads;
+    // And equal, as sets, to the row-major reference (checked last:
+    // EqualsAsSet canonicalizes in place).
+    EXPECT_TRUE(semi.EqualsAsSet(ref_semi)) << "threads " << threads;
+    EXPECT_TRUE(join.EqualsAsSet(ref_join)) << "threads " << threads;
+    EXPECT_TRUE(proj.EqualsAsSet(ref_proj)) << "threads " << threads;
   }
 }
 
@@ -211,7 +206,7 @@ TEST(ColumnarTest, BloomCountersTallyPrunesWithoutChangingResults) {
   EXPECT_LE(serial_prunes.load(), p.r.NumRows());
 
   exec::TaskScheduler pool(4);
-  OpExecOpts par_opts = PooledOpts(&pool, 256, true);
+  OpExecOpts par_opts = PooledOpts(&pool, 256);
   par_opts.counters = std::make_shared<exec::QueryCounters>();
   std::atomic<int64_t>& par_skips = par_opts.counters->bloom_partition_skips;
   std::atomic<int64_t>& par_prunes = par_opts.counters->probe_rows_pruned;

@@ -35,7 +35,7 @@ std::vector<Relation> MakeUR(const DatabaseSchema& d, int rows, int domain,
 }
 
 // Bit-level equality: same rows in the same physical order with the same
-// canonical flag — the deterministic-mode contract, stronger than
+// canonical flag — the parallel-vs-serial contract, stronger than
 // EqualsAsSet.
 void ExpectBitIdentical(const std::vector<Relation>& a,
                         const std::vector<Relation>& b) {
@@ -483,7 +483,6 @@ TEST_F(ParallelOpsTest, ProjectMatchesSerialBitForBit) {
 TEST_F(ParallelOpsTest, NonDeterministicResultsEqualAsSets) {
   exec::TaskScheduler pool(4);
   OpExecOpts opts = ParallelOpts(&pool);
-  opts.deterministic = false;
   Relation join = NaturalJoin(*r_, *s_, opts);
   EXPECT_TRUE(join.EqualsAsSet(NaturalJoin(*r_, *s_)));
   Relation semi = Semijoin(*r_, *s_, opts);
@@ -493,6 +492,8 @@ TEST_F(ParallelOpsTest, NonDeterministicResultsEqualAsSets) {
 }
 
 TEST_F(ParallelOpsTest, DisjointSchemasCartesianProduct) {
+  // No key columns: every row hashes alike, so one partition holds the
+  // whole build and every probe row matches all of it.
   Relation a(AttrSet{0});
   Relation b(AttrSet{1});
   for (Value v = 0; v < 90; ++v) a.AddRow({v});
@@ -500,20 +501,91 @@ TEST_F(ParallelOpsTest, DisjointSchemasCartesianProduct) {
   a.Canonicalize();
   b.Canonicalize();
   Relation serial = NaturalJoin(a, b);
-  exec::TaskScheduler pool(4);
-  OpExecOpts opts = ParallelOpts(&pool);
-  opts.morsel_rows = 16;
-  Relation parallel = NaturalJoin(a, b, opts);
-  EXPECT_EQ(parallel.NumRows(), 90 * 7);
-  EXPECT_TRUE(serial.IdenticalTo(parallel));
+  Relation serial_semi = Semijoin(a, b);
+  for (int threads : {2, 4}) {
+    exec::TaskScheduler pool(threads);
+    OpExecOpts opts = ParallelOpts(&pool);
+    opts.morsel_rows = 16;
+    Relation parallel = NaturalJoin(a, b, opts);
+    EXPECT_EQ(parallel.NumRows(), 90 * 7);
+    EXPECT_TRUE(serial.IdenticalTo(parallel)) << "threads=" << threads;
+    EXPECT_TRUE(serial_semi.IdenticalTo(Semijoin(a, b, opts)))
+        << "threads=" << threads;
+  }
 }
 
 TEST_F(ParallelOpsTest, EmptyInputsStayEmpty) {
   Relation empty(AttrSet{1, 2});
+  Relation empty_probe(AttrSet{0, 1});
   exec::TaskScheduler pool(4);
   OpExecOpts opts = ParallelOpts(&pool);
+  // An empty build side behind a forking probe side.
   EXPECT_EQ(NaturalJoin(*r_, empty, opts).NumRows(), 0);
   EXPECT_EQ(Semijoin(*r_, empty, opts).NumRows(), 0);
+  EXPECT_TRUE(Semijoin(*r_, empty, opts).IdenticalTo(Semijoin(*r_, empty)));
+  // Empty probe sides (and an empty pair) never fork, and match serial.
+  EXPECT_TRUE(Semijoin(empty_probe, *s_, opts)
+                  .IdenticalTo(Semijoin(empty_probe, *s_)));
+  EXPECT_TRUE(NaturalJoin(empty_probe, empty, opts)
+                  .IdenticalTo(NaturalJoin(empty_probe, empty)));
+  EXPECT_TRUE(Project(empty_probe, AttrSet{1}, opts)
+                  .IdenticalTo(Project(empty_probe, AttrSet{1})));
+}
+
+// A relation over attributes 0..7 whose rows are (i, filler..., key):
+// wide probe rows keep the fork grain's row counts small, since arity 8
+// auto-sizes to AutoMorselRows(8) = 4096-row morsels. Column 0 keeps the
+// rows distinct; attribute 7 is the join key.
+Relation WideKeyed(int64_t rows, uint64_t key_domain, uint64_t seed) {
+  Rng rng(seed);
+  Relation r(AttrSet{0, 1, 2, 3, 4, 5, 6, 7});
+  r.Reserve(rows);
+  for (int64_t i = 0; i < rows; ++i) {
+    const Value v = static_cast<Value>(i);
+    r.AddRow({v, v % 3, v % 5, v % 7, v % 11, v % 13, v / 3,
+              static_cast<Value>(rng.Below(key_domain))});
+  }
+  r.Canonicalize();
+  return r;
+}
+
+TEST_F(ParallelOpsTest, AutoMorselsForkOnlyAtTheGrain) {
+  // With morsel_rows left at 0, a kernel forks only when its probe side
+  // spans kMinMorselsPerThread morsels per pool thread: one morsel short of
+  // that it runs serially (no morsels dispatched), and one row more forks.
+  // Either way the result is bit-identical to the serial kernel's.
+  const int64_t morsel = AutoMorselRows(8);
+  Relation s(AttrSet{7, 8});
+  for (Value k = 0; k < 3000; k += 2) {
+    s.AddRow({k, k % 11});
+    s.AddRow({k, k % 11 + 100});
+  }
+  s.Canonicalize();
+  for (int threads : {2, 4}) {
+    const int64_t below = (kMinMorselsPerThread * threads - 1) * morsel;
+    for (int64_t rows : {below, below + 1}) {
+      const bool forks = rows > below;
+      Relation r = WideKeyed(rows, 4000, static_cast<uint64_t>(rows));
+      exec::TaskScheduler pool(threads);
+      OpExecOpts opts;
+      opts.scheduler = &pool;
+      opts.counters = std::make_shared<exec::QueryCounters>();
+      EXPECT_TRUE(NaturalJoin(r, s, opts).IdenticalTo(NaturalJoin(r, s)))
+          << "threads=" << threads << " rows=" << rows;
+      EXPECT_TRUE(Semijoin(r, s, opts).IdenticalTo(Semijoin(r, s)))
+          << "threads=" << threads << " rows=" << rows;
+      const AttrSet x{0, 7};
+      EXPECT_TRUE(Project(r, x, opts).IdenticalTo(Project(r, x)))
+          << "threads=" << threads << " rows=" << rows;
+      const int64_t morsels = opts.counters->morsels.load();
+      if (forks) {
+        EXPECT_GT(morsels, 0) << "threads=" << threads << " rows=" << rows;
+      } else {
+        EXPECT_EQ(morsels, 0) << "threads=" << threads << " rows=" << rows;
+        EXPECT_EQ(opts.counters->bloom_partition_skips.load(), 0);
+      }
+    }
+  }
 }
 
 // --- Parallel full reducer. ---
@@ -548,50 +620,10 @@ TEST(ExecReducerTest, ParallelReducerRejectsCyclicSchemas) {
   EXPECT_FALSE(ApplyFullReducer(d, states, pooled.ctx).has_value());
 }
 
-// --- Probe morsel clamping: a probe task must never span a partition
-// boundary, so the chunk step is recomputed per partition. ---
-
-TEST(ClampMorselToPartitionTest, FormulaPins) {
-  // 100000 rows at a 16384-row target split into ceil(100000/16384) = 7
-  // chunks of ceil(100000/7) = 14286 rows — equal-ish chunks instead of six
-  // full morsels plus a 1696-row tail.
-  EXPECT_EQ(ClampMorselToPartition(16384, 100000), 14286);
-  // A partition that fits in one morsel is one chunk.
-  EXPECT_EQ(ClampMorselToPartition(16384, 1000), 1000);
-  EXPECT_EQ(ClampMorselToPartition(16, 16), 16);
-  // Exact multiples divide evenly.
-  EXPECT_EQ(ClampMorselToPartition(16, 64), 16);
-  // part_rows = k * morsel_rows + 1 rebalances rather than leaving a
-  // 1-row tail chunk.
-  EXPECT_EQ(ClampMorselToPartition(16, 65), 13);
-  // Degenerate-input guards.
-  EXPECT_EQ(ClampMorselToPartition(16, 0), 16);
-  EXPECT_EQ(ClampMorselToPartition(0, 100), 1);
-  EXPECT_EQ(ClampMorselToPartition(0, 0), 1);
-}
-
-TEST(ClampMorselToPartitionTest, StepAlwaysInRangeAndCoversPartition) {
-  for (int64_t morsel : {int64_t{1}, int64_t{7}, int64_t{16}, int64_t{100},
-                         int64_t{16384}}) {
-    for (int64_t part : {int64_t{1}, int64_t{2}, int64_t{15}, int64_t{16},
-                         int64_t{17}, int64_t{100}, int64_t{999},
-                         int64_t{4096}, int64_t{100000}}) {
-      const int64_t step = ClampMorselToPartition(morsel, part);
-      ASSERT_GE(step, 1) << morsel << " " << part;
-      ASSERT_LE(step, morsel) << morsel << " " << part;
-      // Stepping by `step` tiles the partition in the same number of chunks
-      // the naive morsel split would use — never more dispatch overhead.
-      const int64_t naive = (part + morsel - 1) / morsel;
-      ASSERT_EQ((part + step - 1) / step, naive) << morsel << " " << part;
-    }
-  }
-}
-
 // --- Steal-storm property tests: the pool's worker 0 parks for its first
-// 30 ms, so every morsel tagged with an affinity it would have serviced —
-// and any work seeded toward it — must be stolen by the other workers (or
-// the caller draining the graph). The parallel-vs-serial contracts must
-// hold with stealing forced on. ---
+// 30 ms, so any work pushed onto its deque must be stolen by the other
+// workers (or the caller draining the graph). The parallel-vs-serial
+// contracts must hold with stealing forced on. ---
 
 // A PooledCtx variant in steal-storm mode that also collects QueryStats so
 // the tests can assert stealing actually happened.
@@ -804,9 +836,10 @@ TEST(SipTest, AllStrategiesKeepSinksUnchangedBySip) {
   }
 }
 
-// --- Deterministic NaturalJoin probe scatter: the radix-partitioned
-// probe with k-way morsel merge must restore the serial global output
-// order under forced work stealing, on tree and cyclic schemas alike. ---
+// --- The in-order morsel probe: NaturalJoin's per-morsel match lists,
+// concatenated in morsel order, must reproduce the serial global output
+// order under forced work stealing, on tree and cyclic schemas alike, and
+// on the shapes that stress the partitioned build. ---
 
 TEST(JoinScatterStormTest, JoinHeavyProgramsMatchSerialUnderStealing) {
   // FullJoinProgram is all NaturalJoins — the kernel under test — and
@@ -845,8 +878,8 @@ TEST(JoinScatterStormTest, JoinHeavyProgramsMatchSerialUnderStealing) {
 }
 
 TEST(JoinScatterStormTest, KernelBitIdenticalAcrossMorselSizes) {
-  // Drive the scattered probe directly: skewed keys (heavy partitions) and
-  // several morsel sizes so chunks split partitions unevenly.
+  // Drive the morsel probe directly: skewed keys (heavy partitions) and
+  // several morsel sizes, so hot keys straddle morsel boundaries.
   Relation r(AttrSet{0, 1});
   Relation s(AttrSet{1, 2});
   Rng rng(8181);
@@ -873,10 +906,134 @@ TEST(JoinScatterStormTest, KernelBitIdenticalAcrossMorselSizes) {
       Relation parallel = NaturalJoin(r, s, opts);
       EXPECT_TRUE(serial.IdenticalTo(parallel))
           << "threads=" << threads << " morsel_rows=" << morsel_rows;
-      opts.deterministic = false;
       Relation unordered = NaturalJoin(r, s, opts);
       EXPECT_TRUE(unordered.EqualsAsSet(serial_sets))
           << "threads=" << threads << " morsel_rows=" << morsel_rows;
+    }
+  }
+}
+
+TEST(JoinScatterStormTest, SkewedKeysLargerThanAMorsel) {
+  // One probe key covers rows 100..499 — more than six morsels of 64 — and
+  // one build key has 150 rows, so a single probe row's matches outnumber a
+  // morsel and the hot key's probe rows straddle several morsel boundaries.
+  Relation r(AttrSet{0, 1});
+  Relation s(AttrSet{1, 2});
+  Rng rng(8383);
+  for (int i = 0; i < 1000; ++i) {
+    const bool hot = i >= 100 && i < 500;
+    r.AddRow({static_cast<Value>(i),
+              hot ? 7 : static_cast<Value>(rng.Below(50))});
+  }
+  for (int i = 0; i < 400; ++i) {
+    s.AddRow({i < 150 ? 7 : static_cast<Value>(rng.Below(50)),
+              static_cast<Value>(i)});
+  }
+  r.Canonicalize();
+  s.Canonicalize();
+  Relation serial_join = NaturalJoin(r, s);
+  Relation serial_semi = Semijoin(r, s);
+  for (int threads : {2, 4}) {
+    exec::TaskScheduler pool(threads);
+    OpExecOpts opts;
+    opts.scheduler = &pool;
+    opts.morsel_rows = 64;
+    EXPECT_TRUE(NaturalJoin(r, s, opts).IdenticalTo(serial_join))
+        << "threads=" << threads;
+    EXPECT_TRUE(Semijoin(r, s, opts).IdenticalTo(serial_semi))
+        << "threads=" << threads;
+  }
+}
+
+TEST(JoinScatterStormTest, BloomRejectedMorselsContributeNothing) {
+  // The probe side is sorted on its key, and only keys 500 and up exist in
+  // the build: the leading morsels' rows are (Bloom false positives aside)
+  // all rejected by the partition filters, so those morsels come back with
+  // empty outputs that the prefix sum must skip cleanly. Every filter
+  // rejection counts as both a partition skip and a prune.
+  Relation r(AttrSet{0, 1});
+  Relation s(AttrSet{0, 2});
+  for (Value k = 0; k < 1000; ++k) {
+    for (Value j = 0; j < 3; ++j) r.AddRow({k, j});
+  }
+  for (Value k = 500; k < 1000; ++k) s.AddRow({k, k % 17});
+  r.Canonicalize();
+  s.Canonicalize();
+  Relation serial_join = NaturalJoin(r, s);
+  Relation serial_semi = Semijoin(r, s);
+  exec::TaskScheduler pool(4);
+  OpExecOpts opts;
+  opts.scheduler = &pool;
+  opts.morsel_rows = 100;
+  opts.counters = std::make_shared<exec::QueryCounters>();
+  EXPECT_TRUE(NaturalJoin(r, s, opts).IdenticalTo(serial_join));
+  EXPECT_TRUE(Semijoin(r, s, opts).IdenticalTo(serial_semi));
+  EXPECT_GT(opts.counters->bloom_partition_skips.load(), 0);
+  EXPECT_EQ(opts.counters->bloom_partition_skips.load(),
+            opts.counters->probe_rows_pruned.load());
+}
+
+TEST(JoinScatterStormTest, MoreBuildPartitionsThanProbeMorsels) {
+  // An 8-thread pool partitions every build eight ways; the probe sides
+  // here split into only three morsels, so most partitions are probed by
+  // morsels that also probe others. A 70 K-row semijoin build adds the
+  // cardinality-driven partitions on a 2-thread pool.
+  Relation r(AttrSet{0, 1});
+  Relation s(AttrSet{1, 2});
+  Rng rng(8484);
+  for (int i = 0; i < 300; ++i) {
+    r.AddRow({static_cast<Value>(i), static_cast<Value>(rng.Below(120))});
+  }
+  for (int i = 0; i < 200; ++i) {
+    s.AddRow({static_cast<Value>(rng.Below(120)), static_cast<Value>(i)});
+  }
+  r.Canonicalize();
+  s.Canonicalize();
+  Relation big(AttrSet{1, 2});
+  for (int i = 0; i < 70000; ++i) {
+    big.AddRow({static_cast<Value>(i % 240), static_cast<Value>(i)});
+  }
+  big.Canonicalize();
+  ASSERT_GT(PartitionBitsForBuild(2, big.NumRows()), PartitionBits(2));
+  for (int threads : {2, 8}) {
+    exec::TaskScheduler pool(threads);
+    OpExecOpts opts;
+    opts.scheduler = &pool;
+    opts.morsel_rows = 128;
+    EXPECT_TRUE(NaturalJoin(r, s, opts).IdenticalTo(NaturalJoin(r, s)))
+        << "threads=" << threads;
+    EXPECT_TRUE(Semijoin(r, s, opts).IdenticalTo(Semijoin(r, s)))
+        << "threads=" << threads;
+    EXPECT_TRUE(Semijoin(r, big, opts).IdenticalTo(Semijoin(r, big)))
+        << "threads=" << threads;
+  }
+}
+
+TEST(JoinScatterStormTest, QueryMorselsFollowTheGrain) {
+  // Through the exec runtime with auto-sized morsels: a one-join query
+  // dispatches no morsels one morsel short of the fork grain and some at
+  // the grain, and matches the serial engine either way.
+  const int64_t morsel = AutoMorselRows(8);
+  Relation s(AttrSet{7, 8});
+  for (Value k = 0; k < 2000; ++k) s.AddRow({k, k % 3});
+  s.Canonicalize();
+  Program p(2);
+  p.AddJoin(0, 1);
+  for (int threads : {2, 4}) {
+    const int64_t below = (kMinMorselsPerThread * threads - 1) * morsel;
+    for (int64_t rows : {below, below + morsel}) {
+      std::vector<Relation> states = {
+          WideKeyed(rows, 2500, static_cast<uint64_t>(threads)), s};
+      std::vector<Relation> serial = p.Execute(states);
+      PooledCtx pooled(threads);
+      exec::QueryStats query_stats;
+      pooled.ctx.query_stats = &query_stats;
+      ExpectBitIdentical(serial, exec::Execute(p, states, pooled.ctx));
+      if (rows > below) {
+        EXPECT_GT(query_stats.morsels, 0) << "threads=" << threads;
+      } else {
+        EXPECT_EQ(query_stats.morsels, 0) << "threads=" << threads;
+      }
     }
   }
 }
