@@ -17,6 +17,10 @@
 #include <cstring>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "exec/executor_pool.h"
 #include "serve/server.h"
 
@@ -58,6 +62,22 @@ bool ParseInt(int argc, char** argv, int* i, long* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // Keep freed query memory mapped. glibc's dynamic rule sets the mmap
+  // threshold to the largest mmapped chunk freed so far and the trim
+  // threshold to twice that, but a query frees many such chunks at once
+  // (servebench's CC-pruned ring_join frees several MiB of 256 KiB
+  // columns). So every query end trimmed each arena's free top and
+  // unmapped its big chunks, and the next query faulted them back in:
+  // 560-640 minor faults per ring_join query and 37-43% of the daemon's
+  // CPU as system time, on a 4-vCPU x86-64 VM with glibc 2.36. Pinned at
+  // the dynamic rule's own 64-bit ceilings, it is about one fault per
+  // query. Allocations above 32 MiB still use mmap and are unmapped on
+  // free; each arena may keep up to 64 MiB of freed memory mapped.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+
   gyo::serve::ServerOptions options;
   gyo::exec::ExecutorPool::Options pool_options;
   for (int i = 1; i < argc; ++i) {

@@ -11,8 +11,9 @@
 #
 # The script fails on: either binary missing, the daemon not reporting its
 # port within 10s, any client exiting nonzero, a result-cardinality mismatch
-# against the pinned seeds, STATUS not reflecting the served queries, or the
-# daemon surviving SIGTERM / exiting nonzero / leaving no drain report.
+# against the pinned seeds, the cyclic query or the STATUS totals reporting
+# no retired states, STATUS not reflecting the served queries, or the daemon
+# surviving SIGTERM / exiting nonzero / leaving no drain report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +51,7 @@ done
 [[ -n "${port}" ]] || { echo "error: no port within 10s" >&2; exit 1; }
 echo "== gyo_serve (pid ${server_pid}) on port ${port}"
 
+last_query_out=""
 run_query() {  # run_query LABEL EXPECTED_ROWS ARGS...
   local label="$1" expected="$2"; shift 2
   local out
@@ -57,6 +59,7 @@ run_query() {  # run_query LABEL EXPECTED_ROWS ARGS...
   echo "${out}" | sed "s/^/  [${label}] /"
   echo "${out}" | grep -q "^result: ${expected} rows" \
     || { echo "error: ${label}: expected ${expected} rows" >&2; exit 1; }
+  last_query_out="${out}"
 }
 
 # Acyclic chain (Yannakakis), a 4-cycle (CC-pruned fallback; target ac is
@@ -67,6 +70,10 @@ run_query() {  # run_query LABEL EXPECTED_ROWS ARGS...
 run_query tree   455 --rows 400 --domain 6400 --seed 17 --plan ab,bc,cd ad
 run_query cycle  200 --rows 200 --domain 3200 --seed 9 \
   ab,bc,cd,da ac
+# The daemon executes with state retirement on: the cyclic join frees its
+# consumed states.
+echo "${last_query_out}" | grep -Eq "^  retired_states [1-9][0-9]*$" \
+  || { echo "error: cycle: no retired states reported" >&2; exit 1; }
 run_query tree2  455 --rows 400 --domain 6400 --seed 17 ab,bc,cd ad
 
 echo "== STATUS"
@@ -80,6 +87,8 @@ echo "${status}" | grep -Eq "caches: plan [1-9][0-9]* hits" \
 echo "${status}" | grep -Eq "result [1-9][0-9]* hits" \
   || { echo "error: STATUS shows no result-cache hit for the repeat" >&2
        exit 1; }
+echo "${status}" | grep -Eq "^  retired_states [1-9][0-9]*$" \
+  || { echo "error: STATUS totals show no retired states" >&2; exit 1; }
 
 echo "== SIGTERM drain"
 kill -TERM "${server_pid}"

@@ -125,11 +125,13 @@ class Relation {
     }
   }
 
-  /// Appends `rows` uninitialized rows to every column and returns the index
-  /// of the first new row. Callers then write the new range in place through
-  /// ColData() — the parallel kernels compact per-morsel outputs into
-  /// disjoint row ranges of the new block concurrently, one column at a
-  /// time. Column pointers are invalidated like any other mutation.
+  /// Appends `rows` rows whose values are all zero (the columns are resized,
+  /// which value-initializes the new elements) to every column and returns
+  /// the index of the first new row. Callers then overwrite the new range in
+  /// place through ColData() — the parallel kernels compact per-morsel
+  /// outputs into disjoint row ranges of the new block concurrently, one
+  /// column at a time. Column pointers are invalidated like any other
+  /// mutation.
   int64_t AppendRows(int64_t rows) {
     GYO_DCHECK(rows >= 0);
     for (std::vector<Value>& col : cols_) {

@@ -718,6 +718,9 @@ void Server::Impl::RunQuery(uint64_t conn_id, std::vector<uint8_t> payload) {
 
   exec::ExecContext ctx;
   ctx.deterministic = req.deterministic;
+  // Only the last statement's slot is read below, and it is a sink, which
+  // retirement never frees; every other state goes as its last reader ends.
+  ctx.retire_consumed = true;
   QueryResponse resp;
   ctx.query_stats = &resp.query_stats;
   // The decoded states are handed over, not copied: nothing reads them

@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/executor_pool.h"
@@ -52,15 +53,21 @@ std::vector<Relation> MakeStates(const Spec& spec, uint64_t seed) {
       RandomUniversal(d.Universe(), spec.rows, spec.domain, rng), d);
 }
 
-// What the server must be bit-identical to: the same kAuto strategy
-// resolution, executed serially and directly.
-Relation SerialReference(const Spec& spec, uint64_t seed) {
+// The server's kAuto strategy resolution: Yannakakis on a tree schema, the
+// CC-pruned join otherwise.
+Program AutoProgram(const Spec& spec) {
   Catalog catalog;
   DatabaseSchema d = ParseSchema(catalog, spec.schema);
   AttrSet x = ParseAttrSet(catalog, spec.target);
   std::optional<Program> p = YannakakisProgram(d, x);
-  Program program = p.has_value() ? *std::move(p) : CCPrunedProgram(d, x);
-  return exec::Run(program, MakeStates(spec, seed), exec::ExecContext());
+  return p.has_value() ? *std::move(p) : CCPrunedProgram(d, x);
+}
+
+// What the server must be bit-identical to: the same kAuto strategy
+// resolution, executed serially and directly.
+Relation SerialReference(const Spec& spec, uint64_t seed) {
+  return exec::Run(AutoProgram(spec), MakeStates(spec, seed),
+                   exec::ExecContext());
 }
 
 QueryRequest MakeRequest(const Spec& spec, uint64_t seed) {
@@ -225,6 +232,80 @@ TEST(ServeTest, RepeatQueryIsServedFromCacheBitIdentically) {
             first.query_stats.peak_state_bytes);
   EXPECT_EQ(status.totals.plan_cache_hits, 1);
   EXPECT_EQ(status.totals.state_cache_hits, 1);
+}
+
+// An executed query frees each consumed state as its last reader finishes:
+// the CC-pruned join's chain and the Yannakakis reducer both retire, the
+// live-state peak never exceeds the same program run without retirement,
+// and the answer is unchanged.
+TEST(ServeTest, ExecutedQueriesRetireConsumedStates) {
+  exec::ExecutorPool pool(PoolOptions(2, 2));
+  ServerOptions options;
+  options.pool = &pool;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  for (const auto& [spec, want] :
+       {std::make_pair(kCycle, Strategy::kCcPruned),
+        std::make_pair(kTree, Strategy::kYannakakis)}) {
+    SCOPED_TRACE(spec.schema);
+    exec::QueryStats unretired;
+    exec::ExecContext ctx;
+    ctx.query_stats = &unretired;
+    exec::Execute(AutoProgram(spec), MakeStates(spec, 600), ctx);
+    ASSERT_EQ(unretired.retired_states, 0);
+
+    QueryRequest request = MakeRequest(spec, 600);
+    request.want_plan = true;
+    QueryResponse response;
+    ASSERT_EQ(client.Query(request, &response), Client::Outcome::kOk);
+    ASSERT_TRUE(response.has_plan);
+    EXPECT_EQ(response.plan.strategy, want);
+    EXPECT_GT(response.query_stats.tasks, 0);
+    EXPECT_GT(response.query_stats.retired_states, 0);
+    EXPECT_LE(response.query_stats.peak_state_bytes,
+              unretired.peak_state_bytes);
+    EXPECT_TRUE(response.result.IdenticalTo(SerialReference(spec, 600)));
+  }
+}
+
+// A result-cache replay executes nothing, so it retires nothing; the STATUS
+// totals carry exactly the executed replies' retirements.
+TEST(ServeTest, ResultCacheReplayRetiresNothing) {
+  exec::ExecutorPool pool(PoolOptions(2, 2));
+  ServerOptions options;
+  options.pool = &pool;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  int64_t executed_retired = 0;
+  for (const Spec& spec : {kCycle, kTree}) {
+    SCOPED_TRACE(spec.schema);
+    QueryResponse executed, replayed;
+    ASSERT_EQ(client.Query(MakeRequest(spec, 700), &executed),
+              Client::Outcome::kOk);
+    ASSERT_EQ(client.Query(MakeRequest(spec, 700), &replayed),
+              Client::Outcome::kOk);
+    EXPECT_EQ(executed.query_stats.state_cache_hits, 0);
+    EXPECT_GT(executed.query_stats.retired_states, 0);
+    EXPECT_EQ(replayed.query_stats.state_cache_hits, 1);
+    EXPECT_EQ(replayed.query_stats.tasks, 0);
+    EXPECT_EQ(replayed.query_stats.retired_states, 0);
+    EXPECT_EQ(replayed.query_stats.peak_state_bytes, 0);
+    EXPECT_TRUE(replayed.result.IdenticalTo(executed.result));
+    executed_retired += executed.query_stats.retired_states;
+  }
+
+  StatusResponse status;
+  ASSERT_EQ(client.Status(&status), Client::Outcome::kOk);
+  EXPECT_EQ(status.result_cache_hits, 2u);
+  EXPECT_EQ(status.totals.retired_states, executed_retired);
 }
 
 TEST(ServeTest, DisabledCachesExecuteEveryQuery) {
