@@ -165,7 +165,7 @@ BENCHMARK(BM_Exec_FullJoin_Morsels)
 
 void BM_Exec_StealImbalance(benchmark::State& state) {
   // Deliberately skewed semijoin: 75% of the probe side shares one hot key,
-  // so one hash partition holds most of the build's probe traffic and the
+  // so one bucket chain takes most of the build's probe traffic and the
   // morsels that hit it do most of the chain walking. Morsels are contiguous
   // probe-row ranges handed out by one claim counter, so the skew cannot
   // pin work to one thread; the helpers a statement running on a pool
@@ -274,16 +274,15 @@ BENCHMARK(BM_Exec_SipStar)
 void BM_Exec_JoinScatter(benchmark::State& state) {
   // NaturalJoin's in-order morsel probe under skew: the build side is
   // unique on the join key (output growth ≤ 1), the probe side puts half
-  // its rows on 8 hot keys — so a handful of partitions own most of the
-  // probe traffic, spread evenly over the row-range morsels, and the
-  // partitioned build, the probe and the gather pass are what the thread
-  // curve measures. There is no merge step: morsel outputs concatenate in
-  // morsel order. Arg(0) = threads; Arg(1) sets ExecContext::deterministic,
-  // which no longer changes the kernel, so the {8, 0} row is a repeat of
-  // {8, 1}. morsel_rows is set explicitly to the auto size
-  // (AutoMorselRows(2) = 16384) so the join forks at every width: left at
-  // 0, the 2^18-row probe side is 16 morsels, under the fork grain of 4
-  // and 8 threads.
+  // its rows on 8 hot keys — so a handful of bucket chains take most of the
+  // probe traffic, spread evenly over the row-range morsels, and the probe
+  // and gather passes are what the thread curve measures. There is no merge
+  // step: morsel outputs concatenate in morsel order. Arg(0) = threads;
+  // Arg(1) sets ExecContext::deterministic, which no longer changes the
+  // kernel, so the {8, 0} row is a repeat of {8, 1}. morsel_rows is set
+  // explicitly to the auto size (AutoMorselRows(2) = 16384) so the join
+  // forks at every width: left at 0, the 2^18-row probe side is 16 morsels,
+  // under the fork grain of 4 and 8 threads.
   constexpr int64_t kProbeRows = 1 << 18;
   constexpr int64_t kBuildRows = 1 << 16;
   Rng rng(29);

@@ -135,9 +135,9 @@ void BM_SemijoinFixpointParallel_Path(benchmark::State& state) {
   ctx.pool = &pool;
   ctx.query_stats = &query_stats;
   // Below AutoMorselRows for 4096-row arity-2 states, so the kernels
-  // actually split and the partitioned (Bloom-guarded) probe path engages
-  // at threads > 1. The sparse domain makes most probe keys absent, so this
-  // is the bench that demonstrates nonzero bloom_partition_skips.
+  // actually fork into morsels at threads > 1. The sparse domain makes most
+  // probe keys absent, so the build's Bloom filter prunes heavily — and,
+  // one filter per build, probe_rows_pruned is the same at every width.
   ctx.morsel_rows = 1024;
   int steps = 0;
   int64_t rows = 0;
@@ -150,8 +150,6 @@ void BM_SemijoinFixpointParallel_Path(benchmark::State& state) {
   state.counters["fixpoint_rows_r0"] = static_cast<double>(rows);
   // SemijoinFixpoint rewrites query_stats each call, so these are one full
   // fixpoint's totals — iteration-count independent, hence pinnable.
-  state.counters["bloom_partition_skips"] =
-      static_cast<double>(query_stats.bloom_partition_skips);
   state.counters["probe_rows_pruned"] =
       static_cast<double>(query_stats.probe_rows_pruned);
 }

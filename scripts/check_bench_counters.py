@@ -40,10 +40,10 @@ from pathlib import Path
 # retired_states (dataflow retirement count: every consumed, non-retained
 # state is freed exactly once) are deterministic at every thread count, so
 # they are pinned alongside the result cardinalities.
-# bloom_partition_skips / probe_rows_pruned are per-row functions of the
-# data, the hash, and the partition count — fixed per bench name (thread
-# count is part of the name), so they pin too; a drift means the Bloom
-# build, the hash kernels, or the partition policy changed.
+# probe_rows_pruned is a per-row function of the data and the hash: each
+# kernel tests one whole-build Bloom filter in every morsel, so the count is
+# the same at every thread count and morsel size, and it pins too; a drift
+# means the Bloom build or the hash kernels changed.
 # delta_rounds / rows_rescanned are the semijoin fixpoint's work measures:
 # rounds actually executed and input rows scanned by executed semijoins.
 # Both are deterministic functions of the seeded start state, so they pin
@@ -51,8 +51,7 @@ from pathlib import Path
 # bench_incremental; a drift means the delta-round schedule changed how
 # much work a re-reduction costs.
 CHECKED_COUNTERS = ("result_rows", "max_intermediate", "queries",
-                    "effective_steps", "retired_states",
-                    "bloom_partition_skips", "probe_rows_pruned",
+                    "effective_steps", "retired_states", "probe_rows_pruned",
                     "delta_rounds", "rows_rescanned")
 CHECKED_PREFIXES = ("reduced_rows", "fixpoint_rows")
 

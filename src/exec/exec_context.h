@@ -22,11 +22,11 @@ class ExecutorPool;
 #define GYO_QUERY_COUNTERS(X)                                                  \
   /* Statement tasks executed for this query (one per program statement). */   \
   X(tasks, kSum)                                                               \
-  /* Data morsels dispatched by this query's forked operator kernels          \
-     (the partitioned build's two scatter passes, then the probe and gather    \
-     passes). 0 when every operator ran serially: a single-thread pool, a      \
-     probe side of one explicit-size morsel, or one under the fork grain of    \
-     auto-sized morsels (kMinMorselsPerThread in rel/ops.h). */                \
+  /* Data morsels dispatched by this query's forked operator kernels: each     \
+     fork counts its probe pass and its gather pass (2 x its morsels). 0 when  \
+     no kernel forked: a single-thread pool, a probe side of one               \
+     explicit-size morsel, or one under the fork grain of auto-sized morsels   \
+     (kMinMorselsPerThread in rel/ops.h). */                                   \
   X(morsels, kSum)                                                             \
   /* Peak bytes of live relation-state arenas (base copies + statement         \
      results) during this query's execution. With state retirement (see        \
@@ -37,15 +37,12 @@ class ExecutorPool;
   X(peak_state_bytes, kMax)                                                    \
   /* Relation states freed by retirement (0 unless retire_consumed). */        \
   X(retired_states, kSum)                                                      \
-  /* Probe rows whose key hash one of the partitioned build's own              \
-     per-partition Bloom filters rejected, skipping that partition's           \
-     bucket-chain walk entirely (forked kernels only; 0 when every kernel      \
-     ran serially). Cross-statement pruning is sip_rows_pruned. */             \
-  X(bloom_partition_skips, kSum)                                               \
-  /* Probe rows pruned by any of the kernel's own Bloom filters — the serial   \
-     single-filter rejections plus the partitioned ones above — before a       \
-     bucket chain was walked. Bloom filters have no false negatives, so        \
-     pruning never changes results; this counts saved work only. */            \
+  /* Probe rows a kernel's own whole-build Bloom filter rejected before a      \
+     bucket chain was walked. One filter per build, tested on the same         \
+     hashes in every morsel, so the count does not depend on the thread        \
+     count or morsel size. Bloom filters have no false negatives, so pruning   \
+     never changes results; this counts saved work only. Cross-statement       \
+     pruning is sip_rows_pruned. */                                            \
   X(probe_rows_pruned, kSum)                                                   \
   /* Scheduler jobs of this query executed by a thread other than the one      \
      whose deque held them (work stealing under imbalance; 0 = perfect         \

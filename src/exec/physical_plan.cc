@@ -349,8 +349,7 @@ void RunStatements(const Program& program,
                              states[static_cast<size_t>(s->rhs)], opts);
               break;
             case Program::Statement::Kind::kProject:
-              out = Project(states[static_cast<size_t>(s->lhs)], s->target,
-                            opts);
+              out = Project(states[static_cast<size_t>(s->lhs)], s->target);
               break;
           }
           rows_produced[static_cast<size_t>(k)] = out.NumRows();

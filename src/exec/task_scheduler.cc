@@ -298,19 +298,9 @@ void TaskScheduler::RunGraphTask(const std::shared_ptr<GraphRunState>& state,
   }
 }
 
-void TaskScheduler::RunGraph(TaskGraph& graph) {
-  RunGraphImpl(graph, nullptr, 0);
-}
-
 void TaskScheduler::RunGraph(TaskGraph& graph,
                              std::shared_ptr<QueryCounters> counters,
                              double initial_age_seconds) {
-  RunGraphImpl(graph, std::move(counters), AgingBoost(initial_age_seconds));
-}
-
-void TaskScheduler::RunGraphImpl(TaskGraph& graph,
-                                 std::shared_ptr<QueryCounters> counters,
-                                 int age_boost) {
   const int n = graph.NumTasks();
   if (n == 0) return;
 
@@ -340,7 +330,7 @@ void TaskScheduler::RunGraphImpl(TaskGraph& graph,
   state->graph = &graph;
   state->num_tasks = n;
   state->counters = std::move(counters);
-  state->age_boost = age_boost;
+  state->age_boost = AgingBoost(initial_age_seconds);
   for (int i = 0; i < n; ++i) {
     state->pending[static_cast<size_t>(i)].store(
         graph.tasks_[static_cast<size_t>(i)].num_deps,
@@ -377,11 +367,6 @@ void TaskScheduler::RunGraphImpl(TaskGraph& graph,
       return state->done.load(std::memory_order_acquire) == n;
     });
   }
-}
-
-void TaskScheduler::ParallelFor(int64_t num_chunks,
-                                const std::function<void(int64_t)>& body) {
-  ParallelFor(num_chunks, body, nullptr);
 }
 
 void TaskScheduler::ParallelFor(int64_t num_chunks,

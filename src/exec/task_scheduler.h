@@ -152,15 +152,12 @@ class TaskScheduler {
   /// all have finished. The calling thread participates in execution. Must
   /// not be called from inside a task, but may be called concurrently from
   /// any number of distinct external threads. Each TaskGraph may be run
-  /// once.
-  void RunGraph(TaskGraph& graph);
-
-  /// RunGraph with query counters and priority aging: every task
-  /// dispatches at AgedPriority(task priority, initial_age_seconds) — the
-  /// admission queue wait of the owning query — and steal counts feed
-  /// `counters` (may be null).
-  void RunGraph(TaskGraph& graph, std::shared_ptr<QueryCounters> counters,
-                double initial_age_seconds);
+  /// once. Every task dispatches at AgedPriority(task priority,
+  /// initial_age_seconds) — the admission queue wait of the owning query —
+  /// and steal counts feed `counters` (may be null).
+  void RunGraph(TaskGraph& graph,
+                std::shared_ptr<QueryCounters> counters = nullptr,
+                double initial_age_seconds = 0.0);
 
   /// Runs body(chunk) for every chunk in [0, num_chunks), distributing
   /// chunks over the pool via an atomic claim counter (morsel dispatch);
@@ -168,11 +165,10 @@ class TaskScheduler {
   /// completion never depends on worker availability — callable both from
   /// outside the pool and from inside a RunGraph task. Chunk execution
   /// order across threads is unspecified; with threads() == 1 the loop runs
-  /// inline in increasing chunk order.
-  void ParallelFor(int64_t num_chunks,
-                   const std::function<void(int64_t)>& body);
+  /// inline in increasing chunk order. Steal counts feed `counters` (may be
+  /// null).
   void ParallelFor(int64_t num_chunks, const std::function<void(int64_t)>& body,
-                   std::shared_ptr<QueryCounters> counters);
+                   std::shared_ptr<QueryCounters> counters = nullptr);
 
  private:
   struct Job {
@@ -202,8 +198,6 @@ class TaskScheduler {
   void WorkerLoop(int index);
   void EnqueueGraphTask(const std::shared_ptr<GraphRunState>& state, int id);
   void RunGraphTask(const std::shared_ptr<GraphRunState>& state, int id);
-  void RunGraphImpl(TaskGraph& graph, std::shared_ptr<QueryCounters> counters,
-                    int age_boost);
 
   const int threads_;
   const int worker0_start_delay_ms_;

@@ -27,22 +27,20 @@ class BloomFilter;
 /// set cardinality — but they are NOT necessarily sorted: canonical form is
 /// established lazily (EqualsAsSet() canonicalizes on demand). Semijoin is
 /// the exception: it selects a subsequence of its left input, so a canonical
-/// input yields a canonical output (serial and parallel forms alike).
+/// input yields a canonical output.
 
 /// Execution options threaded through the kernels by the exec runtime
-/// (exec/physical_plan.h). Default-constructed options run the serial
-/// engine. With a scheduler attached and enough probe rows (see
-/// morsel_rows), a kernel forks into its parallel form: a radix-scatter
-/// partitioned build (one counting pass + prefix-sum layout + one scatter
-/// pass lay every row id into its hash partition's contiguous region, then
-/// the partitions build concurrently from their own rows — O(n) total work,
-/// with a per-partition Bloom filter filled from the same hash pass), then
-/// an in-order morsel probe: contiguous row ranges of the probe side, each
-/// collecting its selection or match ids in row order, concatenated in
-/// morsel order by one per-column gather pass. Every parallel result is
-/// bit-identical (row order and canonical flag included) to the serial
-/// kernel's at every thread count and morsel size. Project reuses the
-/// scatter structure for a partitioned cross-morsel dedupe (see ops.cc).
+/// (exec/physical_plan.h). Semijoin and NaturalJoin have one shape: they
+/// build one hash index and one whole-build Bloom filter over their build
+/// side, then probe it in contiguous row-order morsels of their probe side,
+/// each morsel collecting its selection or match ids in row order; one
+/// per-column gather pass concatenates the morsels in morsel order.
+/// Default-constructed options run a single morsel, the whole probe side,
+/// inline on the calling thread. With a scheduler attached and enough probe
+/// rows (see morsel_rows), the kernel forks: the morsels run on the pool,
+/// all reading the shared, read-only index and filter. Every forked result
+/// is bit-identical (row order and canonical flag included) to the
+/// unforked one at every thread count and morsel size.
 struct OpExecOpts {
   /// Pool to fan morsels out on; nullptr (or a 1-thread pool) = serial.
   exec::TaskScheduler* scheduler = nullptr;
@@ -88,50 +86,14 @@ constexpr int64_t AutoMorselRows(int arity) {
 }
 
 /// The fork grain of auto-sized morsels: a kernel whose morsel size is
-/// auto-tuned runs its parallel form only when its probe side spans at
-/// least kMinMorselsPerThread × (pool threads) morsels. A fork pays a
-/// partitioned build and several join barriers whose helpers reach the pool
-/// late, so below this many morsels per thread the serial kernel is faster
-/// (BM_Exec_KernelGrain in bench/bench_exec.cc measures the crossover).
-/// Explicit morsel sizes keep forking at two morsels.
+/// auto-tuned forks only when its probe side spans at least
+/// kMinMorselsPerThread × (pool threads) morsels. A fork pays two pool
+/// barriers (the probe pass and the gather pass) whose helpers reach the
+/// pool late, so below this many morsels per thread the unforked kernel is
+/// faster (BM_Exec_KernelGrain in bench/bench_exec.cc measures the
+/// crossover; the value was tuned when a fork also paid a partitioned
+/// build). Explicit morsel sizes keep forking at two morsels.
 constexpr int64_t kMinMorselsPerThread = 8;
-
-/// Build-side hash partitioning: the parallel kernels split a hash build
-/// into 2^bits partitions, where partition p owns the rows whose key hash
-/// has p in its top bits (bucket chains use the low bits, so the two
-/// selections stay independent). PartitionBits gives the pool-width floor:
-/// clamped to [0, kMaxPartitionBits], threads <= 1 (including 0 and negative
-/// values from misconfigured callers) means one partition, and huge thread
-/// counts stop at 64 partitions — beyond that the per-partition task
-/// bookkeeping outweighs the extra build parallelism.
-constexpr int kMaxPartitionBits = 6;
-
-constexpr int PartitionBits(int threads) {
-  int bits = 0;
-  while ((1 << bits) < threads && bits < kMaxPartitionBits) ++bits;
-  return bits;
-}
-
-/// Adaptive partition count: the parallel builds start from the pool-width
-/// floor and add bits until each partition's expected build share drops to
-/// at most kPartitionTargetBuildRows rows (~128 KiB of bucket heads plus
-/// entries — cache-resident), still clamped to kMaxPartitionBits. Large
-/// builds on narrow pools thus get more, smaller partitions than the pool
-/// width alone would pick; small builds are unaffected.
-constexpr int64_t kPartitionTargetBuildRows = int64_t{1} << 14;
-
-constexpr int PartitionBitsForBuild(int threads, int64_t build_rows) {
-  int bits = PartitionBits(threads);
-  while (bits < kMaxPartitionBits &&
-         (build_rows >> bits) > kPartitionTargetBuildRows) {
-    ++bits;
-  }
-  return bits;
-}
-
-constexpr size_t PartitionOf(uint64_t h, int bits) {
-  return bits == 0 ? 0 : static_cast<size_t>(h >> (64 - bits));
-}
 
 /// Bloom filter over 64-bit key hashes: a power-of-two bit array with two
 /// probe positions per key (the low and high halves of the hash), sized at
@@ -181,24 +143,21 @@ class BloomFilter {
 };
 
 /// π_X(r): projection onto X. Requires X ⊆ r.Schema(). Output deduplicated
-/// via hashing (unsorted).
+/// via hashing (unsorted): each distinct key's first row, in row order.
 Relation Project(const Relation& r, const AttrSet& x);
-Relation Project(const Relation& r, const AttrSet& x, const OpExecOpts& opts);
 
 /// r ⋈ s: natural join (hash join keyed on the common attributes' columns,
 /// hashed column-at-a-time; a Cartesian product when the schemas are
 /// disjoint).
-Relation NaturalJoin(const Relation& r, const Relation& s);
 Relation NaturalJoin(const Relation& r, const Relation& s,
-                     const OpExecOpts& opts);
+                     const OpExecOpts& opts = OpExecOpts());
 
 /// r ⋉ s: natural semijoin, π_R(r ⋈ s) computed without materializing the
 /// join (membership probes + one per-column gather over a selection
-/// vector). Canonical input r gives canonical output (serial and parallel
-/// forms alike: both select survivors in row order).
-Relation Semijoin(const Relation& r, const Relation& s);
+/// vector). Canonical input r gives canonical output (forked or not, the
+/// survivors are selected in row order).
 Relation Semijoin(const Relation& r, const Relation& s,
-                  const OpExecOpts& opts);
+                  const OpExecOpts& opts = OpExecOpts());
 
 /// ⋈ of a non-empty list of relations, left to right.
 Relation JoinAll(const std::vector<Relation>& relations);

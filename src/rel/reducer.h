@@ -44,16 +44,16 @@ std::optional<std::vector<Relation>> ApplyFullReducer(
 
 /// Applies pairwise semijoins Ri ⋉ Rj until no relation shrinks — the best
 /// any semijoin program can achieve (the fixpoint is unique: semijoin
-/// reduction is confluent). Runs in synchronous *delta rounds*: the first
-/// round compiles every relation's chain of neighbor semijoins into one
-/// program (see SemijoinRoundProgram in rel/solver.h) whose chains read the
-/// round-start states; every later round re-semijoins a relation only
-/// against the neighbors that shrank in the previous round. The skipped
-/// pairs are provably no-ops — once Ri ⋉ Rj has been applied, it can remove
-/// nothing until Rj shrinks again — so the per-round states, the effective
-/// step count, and the final fixpoint are bit-identical to the dense
-/// schedule that re-ran every pair every round; only the wasted scans are
-/// gone. Returns the fixpoint states and, via `steps`, the number of
+/// reduction is confluent). Runs in synchronous *delta rounds*, each
+/// compiled into one program whose per-relation chains of neighbor
+/// semijoins read the round-start states: the first round chains every
+/// relation against all its neighbors; every later round re-semijoins a
+/// relation only against the neighbors that shrank in the previous round.
+/// The skipped pairs are provably no-ops — once Ri ⋉ Rj has been applied,
+/// it can remove nothing until Rj shrinks again — so the per-round states,
+/// the effective step count, and the final fixpoint are bit-identical to the
+/// dense schedule that re-ran every pair every round; only the wasted scans
+/// are gone. Returns the fixpoint states and, via `steps`, the number of
 /// effective (relation-shrinking) semijoins applied (if non-null).
 std::vector<Relation> SemijoinFixpoint(const DatabaseSchema& d,
                                        const std::vector<Relation>& states,

@@ -166,23 +166,6 @@ std::optional<FullReducerPlan> FullReducerProgram(const DatabaseSchema& d) {
   return plan;
 }
 
-SemijoinRound SemijoinRoundProgram(const DatabaseSchema& d) {
-  const int n = d.NumRelations();
-  SemijoinRound round{Program(n), std::vector<int>(static_cast<size_t>(n))};
-  for (int i = 0; i < n; ++i) {
-    int acc = i;
-    for (int j = 0; j < n; ++j) {
-      if (i == j || !d[i].Intersects(d[j])) continue;
-      // The rhs is always the base id j — the round-start state — so every
-      // chain is independent of every other chain's results (a Jacobi
-      // round): the only statement-to-statement edges are within one chain.
-      acc = round.program.AddSemijoin(acc, j);
-    }
-    round.chain_ids[static_cast<size_t>(i)] = acc;
-  }
-  return round;
-}
-
 std::optional<Program> TreeProjectionProgram(const DatabaseSchema& d,
                                              const AttrSet& x,
                                              const DatabaseSchema& bags) {

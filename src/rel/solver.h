@@ -37,21 +37,6 @@ std::optional<Program> YannakakisProgram(const DatabaseSchema& d,
                                          const YannakakisOptions& options =
                                              YannakakisOptions());
 
-/// One synchronous round of the pairwise semijoin fixpoint, compiled as a
-/// program: for every relation i, a chain Ri ⋉ Rj1 ⋉ Rj2 ⋉ ... over the
-/// neighbors j whose schema intersects d[i] (in increasing j), every chain
-/// reading the round-start states of its neighbors. Chains for different i
-/// share no statements, so the exec dataflow DAG runs a whole round as one
-/// task wave of width NumRelations(). chain_ids[i] is the id of Ri's state
-/// after the round (i itself when Ri has no neighbor). SemijoinFixpoint
-/// (rel/reducer.h) executes this program repeatedly until no chain shrinks
-/// its relation.
-struct SemijoinRound {
-  Program program;
-  std::vector<int> chain_ids;
-};
-SemijoinRound SemijoinRoundProgram(const DatabaseSchema& d);
-
 /// The tree-schema full reducer compiled as a program: the upward
 /// (children-before-parents) then downward 2(n−1) semijoin passes along a
 /// qual tree of d. Each semijoin reads the *current* id of its nodes, so the

@@ -1,11 +1,11 @@
 // Columnar storage equivalence (tentpole): the vectorized column-at-a-time
 // kernels checked against an independent row-major reference evaluator that
 // shares no code with ops.cc (std::set semantics, nested loops, RowRef
-// gathers only). Covers every operator serial and parallel (2/4/8 threads,
-// both determinism modes), the solver strategies end to end through
-// exec::Run, and the Bloom filters' two load-bearing properties: no false
-// negatives (pruning can never change a result) and a bounded false-positive
-// rate (pruning actually prunes).
+// gathers only). Covers every operator serial, the forking ones at 2/4/8
+// threads, the solver strategies end to end through exec::Run, and the
+// Bloom filters' two load-bearing properties: no false negatives (pruning
+// can never change a result) and a bounded false-positive rate (pruning
+// actually prunes).
 
 #include <algorithm>
 #include <memory>
@@ -134,88 +134,115 @@ OpExecOpts PooledOpts(exec::TaskScheduler* pool, int64_t morsel_rows) {
 // --- Kernel-level equivalence. ---
 
 TEST(ColumnarTest, SerialKernelsMatchRowMajorReference) {
+  struct Trial {
+    Relation r;
+    Relation s;
+  };
+  std::vector<Trial> trials;
   Rng rng(1009);
   for (int trial = 0; trial < 12; ++trial) {
     // Mixed densities: dense (many matches) through sparse (mostly misses).
     const int64_t domain = int64_t{1} << (2 + trial);
     RelPair p(40 + trial * 7, 30 + trial * 5, domain, rng.Next());
-    EXPECT_TRUE(Semijoin(p.r, p.s).EqualsAsSet(RefSemijoin(p.r, p.s)))
-        << "trial " << trial;
-    EXPECT_TRUE(NaturalJoin(p.r, p.s).EqualsAsSet(RefNaturalJoin(p.r, p.s)))
-        << "trial " << trial;
-    EXPECT_TRUE(Project(p.r, AttrSet{0}).EqualsAsSet(RefProject(p.r, AttrSet{0})))
-        << "trial " << trial;
-    EXPECT_TRUE(
-        Project(p.r, AttrSet{1}).EqualsAsSet(RefProject(p.r, AttrSet{1})))
-        << "trial " << trial;
+    trials.push_back({p.r, p.s});
+  }
+  // The edges of the one-morsel kernels: an empty probe side, an empty
+  // build side, single rows (matching and not), builds on either side of
+  // the Bloom filter's gate, and disjoint schemas (a Cartesian product).
+  const RelPair base(200, 30, 64, 1010);
+  trials.push_back({Relation(AttrSet{0, 1}), base.s});
+  trials.push_back({base.r, Relation(AttrSet{1, 2})});
+  trials.push_back({FromTuples(AttrSet{0, 1}, {Tuple{1, 5}}),
+                    FromTuples(AttrSet{1, 2}, {Tuple{5, 9}})});
+  trials.push_back({FromTuples(AttrSet{0, 1}, {Tuple{1, 5}}),
+                    FromTuples(AttrSet{1, 2}, {Tuple{6, 9}})});
+  for (int64_t rows : {kMinBloomBuildRows - 1, kMinBloomBuildRows}) {
+    std::set<Tuple> build;
+    for (Value i = 0; i < rows; ++i) build.insert(Tuple{2 * i % 100, i});
+    trials.push_back({base.r, FromTuples(AttrSet{1, 2}, build)});
+  }
+  trials.push_back({base.r, FromTuples(AttrSet{2, 3}, {Tuple{1, 2},
+                                                       Tuple{3, 4}})});
+  for (size_t t = 0; t < trials.size(); ++t) {
+    const Relation& r = trials[t].r;
+    const Relation& s = trials[t].s;
+    EXPECT_TRUE(Semijoin(r, s).EqualsAsSet(RefSemijoin(r, s))) << "trial " << t;
+    EXPECT_TRUE(NaturalJoin(r, s).EqualsAsSet(RefNaturalJoin(r, s)))
+        << "trial " << t;
+    for (AttrId a : {0, 1}) {
+      EXPECT_TRUE(Project(r, AttrSet{a}).EqualsAsSet(RefProject(r, AttrSet{a})))
+          << "trial " << t << " attribute " << a;
+    }
   }
 }
 
 TEST(ColumnarTest, ParallelKernelsMatchReferenceAtEveryWidth) {
   // Large enough that builds clear kMinBloomBuildRows and probes split into
-  // many morsels: the Bloom-guarded partitioned path is what's under test.
+  // many morsels: the Bloom-guarded forked probe is what's under test.
   RelPair p(3000, 2000, 512, 1013);
   const Relation ref_semi = RefSemijoin(p.r, p.s);
   const Relation ref_join = RefNaturalJoin(p.r, p.s);
-  const Relation ref_proj = RefProject(p.r, AttrSet{0});
   const Relation serial_semi = Semijoin(p.r, p.s);
   const Relation serial_join = NaturalJoin(p.r, p.s);
-  const Relation serial_proj = Project(p.r, AttrSet{0});
   // EqualsAsSet canonicalizes its operands in place (lazy, mutable), which
   // would perturb the physical row order the IdenticalTo checks below pin —
   // so the set comparisons run on copies.
   ASSERT_TRUE(Relation(serial_semi).EqualsAsSet(ref_semi));
   ASSERT_TRUE(Relation(serial_join).EqualsAsSet(ref_join));
-  ASSERT_TRUE(Relation(serial_proj).EqualsAsSet(ref_proj));
   for (int threads : {2, 4, 8}) {
     exec::TaskScheduler pool(threads);
     OpExecOpts opts = PooledOpts(&pool, 64);
     Relation semi = Semijoin(p.r, p.s, opts);
     Relation join = NaturalJoin(p.r, p.s, opts);
-    Relation proj = Project(p.r, AttrSet{0}, opts);
     // Bit-identical to the serial engine: same rows, same physical row
     // order, same canonical flags.
     EXPECT_TRUE(semi.IdenticalTo(serial_semi)) << "threads " << threads;
     EXPECT_TRUE(join.IdenticalTo(serial_join)) << "threads " << threads;
-    EXPECT_TRUE(proj.IdenticalTo(serial_proj)) << "threads " << threads;
     // And equal, as sets, to the row-major reference (checked last:
     // EqualsAsSet canonicalizes in place).
     EXPECT_TRUE(semi.EqualsAsSet(ref_semi)) << "threads " << threads;
     EXPECT_TRUE(join.EqualsAsSet(ref_join)) << "threads " << threads;
-    EXPECT_TRUE(proj.EqualsAsSet(ref_proj)) << "threads " << threads;
   }
 }
 
 TEST(ColumnarTest, BloomCountersTallyPrunesWithoutChangingResults) {
-  // Sparse probe keys (domain ≫ rows): most probes miss, so the serial
-  // single-filter and the parallel per-partition filters both prune heavily
-  // — and the results must not move an inch.
+  // Sparse probe keys (domain ≫ rows): most probes miss, so the build's
+  // Bloom filter prunes heavily — and the results must not move an inch.
+  // Every morsel tests the one whole-build filter on the same hashes, so a
+  // forked kernel prunes exactly the rows the unforked one does, at every
+  // thread count and morsel size.
   RelPair p(4096, 4096, int64_t{1} << 20, 1019);
-  const Relation ref = RefSemijoin(p.r, p.s);
-
   OpExecOpts serial_opts;
   serial_opts.counters = std::make_shared<exec::QueryCounters>();
-  std::atomic<int64_t>& serial_skips =
-      serial_opts.counters->bloom_partition_skips;
   std::atomic<int64_t>& serial_prunes = serial_opts.counters->probe_rows_pruned;
-  Relation serial = Semijoin(p.r, p.s, serial_opts);
-  EXPECT_TRUE(serial.EqualsAsSet(ref));
-  // The serial kernel has one whole-build filter, not partition filters.
-  EXPECT_EQ(serial_skips.load(), 0);
-  EXPECT_GT(serial_prunes.load(), 0);
-  EXPECT_LE(serial_prunes.load(), p.r.NumRows());
+  const Relation serial_semi = Semijoin(p.r, p.s, serial_opts);
+  const int64_t semi_pruned = serial_prunes.exchange(0);
+  const Relation serial_join = NaturalJoin(p.r, p.s, serial_opts);
+  const int64_t join_pruned = serial_prunes.load();
+  EXPECT_TRUE(Relation(serial_semi).EqualsAsSet(RefSemijoin(p.r, p.s)));
+  EXPECT_GT(semi_pruned, 0);
+  EXPECT_LE(semi_pruned, p.r.NumRows());
+  EXPECT_GT(join_pruned, 0);
+  EXPECT_LE(join_pruned, std::max(p.r.NumRows(), p.s.NumRows()));
 
-  exec::TaskScheduler pool(4);
-  OpExecOpts par_opts = PooledOpts(&pool, 256);
-  par_opts.counters = std::make_shared<exec::QueryCounters>();
-  std::atomic<int64_t>& par_skips = par_opts.counters->bloom_partition_skips;
-  std::atomic<int64_t>& par_prunes = par_opts.counters->probe_rows_pruned;
-  Relation parallel = Semijoin(p.r, p.s, par_opts);
-  EXPECT_TRUE(parallel.IdenticalTo(serial));
-  // Partition-filter rejections count as both a skip and a prune.
-  EXPECT_GT(par_skips.load(), 0);
-  EXPECT_EQ(par_skips.load(), par_prunes.load());
-  EXPECT_LE(par_prunes.load(), p.r.NumRows());
+  for (int threads : {2, 4, 8}) {
+    exec::TaskScheduler pool(threads);
+    for (int64_t morsel_rows : {1, 64, 256}) {
+      OpExecOpts opts = PooledOpts(&pool, morsel_rows);
+      opts.counters = std::make_shared<exec::QueryCounters>();
+      std::atomic<int64_t>& prunes = opts.counters->probe_rows_pruned;
+      EXPECT_TRUE(Semijoin(p.r, p.s, opts).IdenticalTo(serial_semi))
+          << "threads " << threads << " morsel_rows " << morsel_rows;
+      EXPECT_EQ(prunes.exchange(0), semi_pruned)
+          << "threads " << threads << " morsel_rows " << morsel_rows;
+      EXPECT_TRUE(NaturalJoin(p.r, p.s, opts).IdenticalTo(serial_join))
+          << "threads " << threads << " morsel_rows " << morsel_rows;
+      EXPECT_EQ(prunes.load(), join_pruned)
+          << "threads " << threads << " morsel_rows " << morsel_rows;
+      // Both kernels forked.
+      EXPECT_GT(opts.counters->morsels.load(), 0);
+    }
+  }
 }
 
 TEST(ColumnarTest, TinyBuildsSkipTheBloomFilterButStillMatch) {

@@ -1,6 +1,6 @@
 // Exec runtime: PhysicalPlan dataflow compilation, parallel-vs-serial
 // equivalence over random schemas/states for every solver strategy at 1–8
-// threads, parallel operator kernels (morsel probe + partitioned build),
+// threads, forked operator kernels (one build + in-order morsel probe),
 // the parallel full reducer, and the eager Program validation errors.
 //
 // Parallel contexts pin an explicit ExecutorPool of the tested width (rather
@@ -9,7 +9,6 @@
 
 #include "exec/physical_plan.h"
 
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -230,68 +229,6 @@ TEST(ExecTest, RunReturnsFinalRelation) {
   EXPECT_TRUE(via_exec.EqualsAsSet(reference));
 }
 
-// --- Build-side hash partitioning (satellite): PartitionBits must clamp
-// sanely at both ends — it was previously only exercised through the
-// kernels. ---
-
-TEST(PartitionBitsTest, ClampsThreadCountsSanely) {
-  // threads <= 1 (including misconfigured 0 / negative) = one partition.
-  EXPECT_EQ(PartitionBits(-4), 0);
-  EXPECT_EQ(PartitionBits(0), 0);
-  EXPECT_EQ(PartitionBits(1), 0);
-  // Smallest power of two covering the pool...
-  EXPECT_EQ(PartitionBits(2), 1);
-  EXPECT_EQ(PartitionBits(3), 2);
-  EXPECT_EQ(PartitionBits(4), 2);
-  EXPECT_EQ(PartitionBits(5), 3);
-  EXPECT_EQ(PartitionBits(64), 6);
-  // ...until the cap: huge pools stop at 2^kMaxPartitionBits partitions.
-  EXPECT_EQ(PartitionBits(65), kMaxPartitionBits);
-  EXPECT_EQ(PartitionBits(1 << 20), kMaxPartitionBits);
-  EXPECT_EQ(PartitionBits(std::numeric_limits<int>::max()),
-            kMaxPartitionBits);
-}
-
-TEST(PartitionBitsTest, PartitionOfCoversRange) {
-  // bits == 0 maps everything to partition 0; otherwise the top bits select
-  // a partition in [0, 2^bits) and the extremes land on the extremes.
-  EXPECT_EQ(PartitionOf(~0ull, 0), 0u);
-  for (int bits = 1; bits <= kMaxPartitionBits; ++bits) {
-    EXPECT_EQ(PartitionOf(0ull, bits), 0u);
-    EXPECT_EQ(PartitionOf(~0ull, bits), (size_t{1} << bits) - 1);
-    Rng rng(7);
-    for (int trial = 0; trial < 100; ++trial) {
-      EXPECT_LT(PartitionOf(rng.Next(), bits), size_t{1} << bits);
-    }
-  }
-}
-
-TEST(PartitionBitsTest, ForBuildAdaptsToCardinality) {
-  // The adaptive partition count: never below the pool-width floor, grows
-  // with build cardinality until each partition's share is at most
-  // kPartitionTargetBuildRows, and never past kMaxPartitionBits.
-  for (int threads : {1, 2, 4, 8}) {
-    // Small builds: the pool-width floor alone.
-    EXPECT_EQ(PartitionBitsForBuild(threads, 0), PartitionBits(threads));
-    EXPECT_EQ(PartitionBitsForBuild(threads, kPartitionTargetBuildRows),
-              PartitionBits(threads));
-  }
-  // Pinned values (changing the policy must be a conscious act: the bench
-  // baselines' bloom counters depend on the partition count).
-  EXPECT_EQ(PartitionBitsForBuild(8, 1000), 3);
-  EXPECT_EQ(PartitionBitsForBuild(2, 100000), 3);
-  EXPECT_EQ(PartitionBitsForBuild(2, int64_t{1} << 20), 6);
-  // The cap binds regardless of cardinality or pool width.
-  EXPECT_EQ(PartitionBitsForBuild(1, int64_t{1} << 40), kMaxPartitionBits);
-  EXPECT_EQ(PartitionBitsForBuild(1 << 20, 1), kMaxPartitionBits);
-  // Every partition's expected share meets the target (below the cap).
-  for (int64_t rows : {int64_t{1} << 15, int64_t{1} << 17}) {
-    const int bits = PartitionBitsForBuild(1, rows);
-    ASSERT_LT(bits, kMaxPartitionBits);
-    EXPECT_LE(rows >> bits, kPartitionTargetBuildRows);
-  }
-}
-
 // --- State retirement (tentpole): compile-time reader counts plus
 // run-time last-reader frees. ---
 
@@ -471,10 +408,14 @@ TEST_F(ParallelOpsTest, SemijoinMatchesSerialAndStaysCanonical) {
 }
 
 TEST_F(ParallelOpsTest, ProjectMatchesSerialBitForBit) {
-  Relation serial = Project(*r_, AttrSet{1});
+  // Project never forks, and its first-occurrence dedupe depends on its
+  // input's row order: over a forked join's output it must reproduce the
+  // projection of the unforked join row for row.
+  const AttrSet x{0, 2};
+  Relation serial = Project(NaturalJoin(*r_, *s_), x);
   for (int threads : {2, 4, 8}) {
     exec::TaskScheduler pool(threads);
-    Relation parallel = Project(*r_, AttrSet{1}, ParallelOpts(&pool));
+    Relation parallel = Project(NaturalJoin(*r_, *s_, ParallelOpts(&pool)), x);
     EXPECT_EQ(serial.NumRows(), parallel.NumRows());
     EXPECT_TRUE(serial.IdenticalTo(parallel)) << "threads=" << threads;
   }
@@ -487,12 +428,10 @@ TEST_F(ParallelOpsTest, NonDeterministicResultsEqualAsSets) {
   EXPECT_TRUE(join.EqualsAsSet(NaturalJoin(*r_, *s_)));
   Relation semi = Semijoin(*r_, *s_, opts);
   EXPECT_TRUE(semi.EqualsAsSet(Semijoin(*r_, *s_)));
-  Relation proj = Project(*r_, AttrSet{1}, opts);
-  EXPECT_TRUE(proj.EqualsAsSet(Project(*r_, AttrSet{1})));
 }
 
 TEST_F(ParallelOpsTest, DisjointSchemasCartesianProduct) {
-  // No key columns: every row hashes alike, so one partition holds the
+  // No key columns: every row hashes alike, so one bucket chain holds the
   // whole build and every probe row matches all of it.
   Relation a(AttrSet{0});
   Relation b(AttrSet{1});
@@ -528,8 +467,6 @@ TEST_F(ParallelOpsTest, EmptyInputsStayEmpty) {
                   .IdenticalTo(Semijoin(empty_probe, *s_)));
   EXPECT_TRUE(NaturalJoin(empty_probe, empty, opts)
                   .IdenticalTo(NaturalJoin(empty_probe, empty)));
-  EXPECT_TRUE(Project(empty_probe, AttrSet{1}, opts)
-                  .IdenticalTo(Project(empty_probe, AttrSet{1})));
 }
 
 // A relation over attributes 0..7 whose rows are (i, filler..., key):
@@ -574,15 +511,11 @@ TEST_F(ParallelOpsTest, AutoMorselsForkOnlyAtTheGrain) {
           << "threads=" << threads << " rows=" << rows;
       EXPECT_TRUE(Semijoin(r, s, opts).IdenticalTo(Semijoin(r, s)))
           << "threads=" << threads << " rows=" << rows;
-      const AttrSet x{0, 7};
-      EXPECT_TRUE(Project(r, x, opts).IdenticalTo(Project(r, x)))
-          << "threads=" << threads << " rows=" << rows;
       const int64_t morsels = opts.counters->morsels.load();
       if (forks) {
         EXPECT_GT(morsels, 0) << "threads=" << threads << " rows=" << rows;
       } else {
         EXPECT_EQ(morsels, 0) << "threads=" << threads << " rows=" << rows;
-        EXPECT_EQ(opts.counters->bloom_partition_skips.load(), 0);
       }
     }
   }
@@ -839,7 +772,7 @@ TEST(SipTest, AllStrategiesKeepSinksUnchangedBySip) {
 // --- The in-order morsel probe: NaturalJoin's per-morsel match lists,
 // concatenated in morsel order, must reproduce the serial global output
 // order under forced work stealing, on tree and cyclic schemas alike, and
-// on the shapes that stress the partitioned build. ---
+// on skewed and Bloom-rejected probe sides. ---
 
 TEST(JoinScatterStormTest, JoinHeavyProgramsMatchSerialUnderStealing) {
   // FullJoinProgram is all NaturalJoins — the kernel under test — and
@@ -878,7 +811,7 @@ TEST(JoinScatterStormTest, JoinHeavyProgramsMatchSerialUnderStealing) {
 }
 
 TEST(JoinScatterStormTest, KernelBitIdenticalAcrossMorselSizes) {
-  // Drive the morsel probe directly: skewed keys (heavy partitions) and
+  // Drive the morsel probe directly: skewed keys (long bucket chains) and
   // several morsel sizes, so hot keys straddle morsel boundaries.
   Relation r(AttrSet{0, 1});
   Relation s(AttrSet{1, 2});
@@ -948,9 +881,10 @@ TEST(JoinScatterStormTest, SkewedKeysLargerThanAMorsel) {
 TEST(JoinScatterStormTest, BloomRejectedMorselsContributeNothing) {
   // The probe side is sorted on its key, and only keys 500 and up exist in
   // the build: the leading morsels' rows are (Bloom false positives aside)
-  // all rejected by the partition filters, so those morsels come back with
-  // empty outputs that the prefix sum must skip cleanly. Every filter
-  // rejection counts as both a partition skip and a prune.
+  // all rejected by the build's filter, so those morsels come back with
+  // empty outputs that the prefix sum must skip cleanly. Every morsel tests
+  // the same filter, so the forked kernels prune exactly the rows the
+  // unforked ones do.
   Relation r(AttrSet{0, 1});
   Relation s(AttrSet{0, 2});
   for (Value k = 0; k < 1000; ++k) {
@@ -959,8 +893,12 @@ TEST(JoinScatterStormTest, BloomRejectedMorselsContributeNothing) {
   for (Value k = 500; k < 1000; ++k) s.AddRow({k, k % 17});
   r.Canonicalize();
   s.Canonicalize();
-  Relation serial_join = NaturalJoin(r, s);
-  Relation serial_semi = Semijoin(r, s);
+  OpExecOpts serial_opts;
+  serial_opts.counters = std::make_shared<exec::QueryCounters>();
+  Relation serial_join = NaturalJoin(r, s, serial_opts);
+  Relation serial_semi = Semijoin(r, s, serial_opts);
+  const int64_t serial_pruned = serial_opts.counters->probe_rows_pruned.load();
+  EXPECT_GT(serial_pruned, 0);
   exec::TaskScheduler pool(4);
   OpExecOpts opts;
   opts.scheduler = &pool;
@@ -968,45 +906,7 @@ TEST(JoinScatterStormTest, BloomRejectedMorselsContributeNothing) {
   opts.counters = std::make_shared<exec::QueryCounters>();
   EXPECT_TRUE(NaturalJoin(r, s, opts).IdenticalTo(serial_join));
   EXPECT_TRUE(Semijoin(r, s, opts).IdenticalTo(serial_semi));
-  EXPECT_GT(opts.counters->bloom_partition_skips.load(), 0);
-  EXPECT_EQ(opts.counters->bloom_partition_skips.load(),
-            opts.counters->probe_rows_pruned.load());
-}
-
-TEST(JoinScatterStormTest, MoreBuildPartitionsThanProbeMorsels) {
-  // An 8-thread pool partitions every build eight ways; the probe sides
-  // here split into only three morsels, so most partitions are probed by
-  // morsels that also probe others. A 70 K-row semijoin build adds the
-  // cardinality-driven partitions on a 2-thread pool.
-  Relation r(AttrSet{0, 1});
-  Relation s(AttrSet{1, 2});
-  Rng rng(8484);
-  for (int i = 0; i < 300; ++i) {
-    r.AddRow({static_cast<Value>(i), static_cast<Value>(rng.Below(120))});
-  }
-  for (int i = 0; i < 200; ++i) {
-    s.AddRow({static_cast<Value>(rng.Below(120)), static_cast<Value>(i)});
-  }
-  r.Canonicalize();
-  s.Canonicalize();
-  Relation big(AttrSet{1, 2});
-  for (int i = 0; i < 70000; ++i) {
-    big.AddRow({static_cast<Value>(i % 240), static_cast<Value>(i)});
-  }
-  big.Canonicalize();
-  ASSERT_GT(PartitionBitsForBuild(2, big.NumRows()), PartitionBits(2));
-  for (int threads : {2, 8}) {
-    exec::TaskScheduler pool(threads);
-    OpExecOpts opts;
-    opts.scheduler = &pool;
-    opts.morsel_rows = 128;
-    EXPECT_TRUE(NaturalJoin(r, s, opts).IdenticalTo(NaturalJoin(r, s)))
-        << "threads=" << threads;
-    EXPECT_TRUE(Semijoin(r, s, opts).IdenticalTo(Semijoin(r, s)))
-        << "threads=" << threads;
-    EXPECT_TRUE(Semijoin(r, big, opts).IdenticalTo(Semijoin(r, big)))
-        << "threads=" << threads;
-  }
+  EXPECT_EQ(opts.counters->probe_rows_pruned.load(), serial_pruned);
 }
 
 TEST(JoinScatterStormTest, QueryMorselsFollowTheGrain) {

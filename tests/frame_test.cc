@@ -659,18 +659,17 @@ TEST(FrameCodecTest, QueryResponseRoundTrips) {
   q.morsels = 201;
   q.peak_state_bytes = 302;
   q.retired_states = 403;
-  q.bloom_partition_skips = 504;
-  q.probe_rows_pruned = 605;
-  q.tasks_stolen = 706;
-  q.affinity_hits = 807;
-  q.affinity_misses = 908;
-  q.queue_depth_at_admit = 1009;
-  q.plan_cache_hits = 1110;
-  q.state_cache_hits = 1211;
-  q.delta_rounds = 1312;
-  q.rows_rescanned = 1413;
-  q.sip_rows_pruned = 1514;
-  q.zone_map_skips = 1615;
+  q.probe_rows_pruned = 504;
+  q.tasks_stolen = 605;
+  q.affinity_hits = 706;
+  q.affinity_misses = 807;
+  q.queue_depth_at_admit = 908;
+  q.plan_cache_hits = 1009;
+  q.state_cache_hits = 1110;
+  q.delta_rounds = 1211;
+  q.rows_rescanned = 1312;
+  q.sip_rows_pruned = 1413;
+  q.zone_map_skips = 1514;
   response.has_plan = true;
   response.plan.num_statements = 8;
   response.plan.critical_path = 7;
@@ -695,20 +694,18 @@ TEST(FrameCodecTest, QueryResponseRoundTrips) {
   EXPECT_EQ(decoded.plan.critical_path, 7);
   EXPECT_EQ(decoded.plan.strategy, Strategy::kYannakakis);
 
-  // The counter block's layout is frozen: these are the bytes the
-  // hand-written field-by-field encoder produced for this response before
-  // the counter table generated it (header, flags, result, program stats,
-  // durations, the 16 counters in table order, plan info). A counter added
-  // to the table lands before the plan info, so adding one means capturing
-  // this pin again.
+  // The counter block's layout is frozen: these are the bytes this
+  // response encodes to (header, flags, result, program stats, durations,
+  // the 15 counters in table order, plan info). Adding a counter to the
+  // table, or removing one, shifts everything after it, so either means
+  // capturing this pin again.
   const std::vector<uint8_t> pinned = {
-      0x46, 0x00, 0x00, 0x00, 0x03, 0x01, 0x02, 0x01, 0x02, 0x02, 0x01, 0x00,
+      0x44, 0x00, 0x00, 0x00, 0x03, 0x01, 0x02, 0x01, 0x02, 0x02, 0x01, 0x00,
       0x02, 0x04, 0x01, 0x00, 0x02, 0xc8, 0x01, 0xf6, 0x01, 0x04, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0xf8, 0x3f, 0xc8, 0x01, 0x92, 0x03, 0xdc, 0x04, 0xa6, 0x06, 0xf0, 0x07,
       0xba, 0x09, 0x84, 0x0b, 0xce, 0x0c, 0x98, 0x0e, 0xe2, 0x0f, 0xac, 0x11,
-      0xf6, 0x12, 0xc0, 0x14, 0x8a, 0x16, 0xd4, 0x17, 0x9e, 0x19, 0x08, 0x07,
-      0x01, 0x03};
+      0xf6, 0x12, 0xc0, 0x14, 0x8a, 0x16, 0xd4, 0x17, 0x08, 0x07, 0x01, 0x03};
   EXPECT_EQ(frame, pinned);
 }
 

@@ -114,46 +114,6 @@ TEST_F(SolverTest, YannakakisSemijoinCount) {
   EXPECT_EQ(p->NumSemijoins(), 2 * (5 - 1));
 }
 
-TEST_F(SolverTest, SemijoinRoundProgramBuildsIndependentChains) {
-  // Ring of 4: every relation has exactly two schema-intersecting
-  // neighbors, so a round is 4 chains of 2 semijoins whose rhs inputs are
-  // all base ids — chains never read each other's results (one task wave).
-  DatabaseSchema d = Aring(4);
-  SemijoinRound round = SemijoinRoundProgram(d);
-  EXPECT_EQ(round.program.NumStatements(), 8);
-  EXPECT_EQ(round.program.NumSemijoins(), 8);
-  ASSERT_EQ(round.chain_ids.size(), 4u);
-  const int n = d.NumRelations();
-  std::vector<int> chain_of(static_cast<size_t>(round.program.NumStatements()),
-                            -1);
-  for (int k = 0; k < round.program.NumStatements(); ++k) {
-    const Program::Statement& s =
-        round.program.Statements()[static_cast<size_t>(k)];
-    EXPECT_LT(s.rhs, n) << "statement " << k << " reads a chain result";
-    // A statement's lhs is either a base id (chain head) or the previous
-    // statement of the same chain.
-    if (s.lhs < n) {
-      chain_of[static_cast<size_t>(k)] = s.lhs;
-    } else {
-      chain_of[static_cast<size_t>(k)] = chain_of[static_cast<size_t>(s.lhs - n)];
-      EXPECT_EQ(s.lhs - n, k - 1);
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(chain_of[static_cast<size_t>(round.chain_ids[static_cast<size_t>(i)] - n)], i);
-  }
-}
-
-TEST_F(SolverTest, SemijoinRoundProgramSkipsDisjointRelations) {
-  // Two disconnected edges: no schemas intersect, so a round is empty and
-  // every chain id is the base relation itself.
-  Catalog c;
-  DatabaseSchema d = ParseSchema(c, "ab,cd");
-  SemijoinRound round = SemijoinRoundProgram(d);
-  EXPECT_EQ(round.program.NumStatements(), 0);
-  EXPECT_EQ(round.chain_ids, (std::vector<int>{0, 1}));
-}
-
 TEST_F(SolverTest, FullReducerProgramShapeAndFinalIds) {
   DatabaseSchema d = PathSchema(5);  // 4 relations, tree
   auto plan = FullReducerProgram(d);
