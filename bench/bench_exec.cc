@@ -20,12 +20,16 @@
 //     Arg(0) threads, probe sides from 2^14 to 2^21 rows with auto-sized
 //     morsels — where the fork grain (kMinMorselsPerThread) lets a kernel
 //     fork, and what forking buys.
+//   * StatementGrain: two clients of one 2-thread, 2-slot pool running
+//     Yannakakis queries from 64 to 8192 rows per relation — the evidence
+//     for the statement graph's fork grain (kMinStatementForkRows).
 //
 // Times are wall-clock (UseRealTime): with worker threads, per-thread CPU
 // time would hide the speedup being measured.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -371,42 +375,121 @@ BENCHMARK(BM_Exec_KernelGrain)
                    {0, 1}})
     ->UseRealTime();
 
-void BM_Exec_ZoneMap(benchmark::State& state) {
-  // Zone-map disjointness in Semijoin: Arg(1) = 1 puts the build side's
-  // key range entirely above the probe side's, so ZoneRange proves the
-  // semijoin empty and the whole probe pass is skipped (zone_map_skips =
-  // probe rows, sign-pinned); Arg(1) = 0 overlaps the ranges and pays the
-  // full hash build + probe over the same cardinalities — the gap between
-  // the two halves is what the maps save. Arg(0) = threads, as everywhere.
-  constexpr int64_t kProbeRows = 1 << 18;
-  constexpr int64_t kBuildRows = 1 << 16;
-  const bool disjoint = state.range(1) != 0;
-  Rng rng(31);
-  Relation r(AttrSet{0, 1});
-  r.Reserve(kProbeRows);
-  for (int64_t i = 0; i < kProbeRows; ++i) {
-    r.AddRow({static_cast<Value>(rng.Below(kBuildRows)),
-              static_cast<Value>(i)});
+// BM_Exec_StatementGrain's queries. Shape 0: the Yannakakis program of a
+// 48-relation random tree, with key-like values (the plan_churn shape: about
+// 180 short statements, no chain). Shape 1: the Yannakakis program of an
+// 8-relation path, target {0, 8}, half of each relation's rows planted from
+// one universal relation and half dangling from the relation's own value
+// band, which matches no neighbour's (the path_reduce shape).
+struct GrainQuery {
+  exec::PhysicalPlan plan;
+  std::vector<Relation> states;
+};
+
+// A random tree schema of `n` relations in which every relation after the
+// first shares one or two attributes of a random earlier relation and adds
+// one or two fresh ones. Every edge shares an attribute, so no join of the
+// Yannakakis program is a Cartesian product (RandomTreeSchema may share
+// none).
+DatabaseSchema SharedEdgeTree(int n, Rng& rng) {
+  std::vector<RelationSchema> relations;
+  AttrId next = 0;
+  relations.push_back(AttrSet{next, next + 1});
+  next += 2;
+  for (int i = 1; i < n; ++i) {
+    std::vector<AttrId> parent =
+        relations[rng.Below(relations.size())].ToVector();
+    AttrSet rel;
+    const size_t shared = 1 + rng.Below(std::min<size_t>(2, parent.size()));
+    for (size_t k = 0; k < shared; ++k) {
+      const size_t pick = k + rng.Below(parent.size() - k);
+      std::swap(parent[k], parent[pick]);
+      rel.Insert(parent[k]);
+    }
+    const uint64_t fresh = 1 + rng.Below(2);
+    for (uint64_t f = 0; f < fresh; ++f) rel.Insert(next++);
+    relations.push_back(std::move(rel));
   }
-  r.Canonicalize();
-  const Value build_base = disjoint ? static_cast<Value>(kBuildRows) : 0;
-  Relation s(AttrSet{0, 2});
-  s.Reserve(kBuildRows);
-  for (int64_t k = 0; k < kBuildRows; ++k) {
-    s.AddRow({build_base + static_cast<Value>(k), static_cast<Value>(k)});
-  }
-  s.Canonicalize();
-  Program p(2);
-  p.AddSemijoin(0, 1);
-  std::vector<Relation> states = {std::move(r), std::move(s)};
-  const double peak_rss_mb = SampleRss(state, p, states);
-  BenchPool bench(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exec::Run(p, states, bench.ctx));
-  }
-  ReportStats(state, p, states, bench.ctx, peak_rss_mb);
+  return DatabaseSchema(std::move(relations));
 }
-BENCHMARK(BM_Exec_ZoneMap)->Args({4, 0})->Args({4, 1})->UseRealTime();
+
+GrainQuery MakeGrainQuery(int shape, int rows) {
+  constexpr int kKeyDomain = 1 << 20;  // key-like: chance matches are rare
+  Rng rng(static_cast<uint64_t>(43 + shape));
+  if (shape == 0) {
+    const DatabaseSchema d = SharedEdgeTree(48, rng);
+    const std::vector<AttrId> attrs = d.Universe().ToVector();
+    const AttrSet x{attrs.front(), attrs.back()};
+    std::vector<Relation> states = ProjectDatabase(
+        RandomUniversal(d.Universe(), rows, kKeyDomain, rng), d);
+    for (Relation& r : states) r.Canonicalize();
+    return {exec::PhysicalPlan::Compile(*YannakakisProgram(d, x)),
+            std::move(states)};
+  }
+  const DatabaseSchema d = PathSchema(9);
+  std::vector<Relation> states = ProjectDatabase(
+      RandomUniversal(d.Universe(), rows / 2, kKeyDomain, rng), d);
+  for (size_t i = 0; i < states.size(); ++i) {
+    const Value band = static_cast<Value>(i + 1) * kKeyDomain;
+    for (int k = rows / 2; k < rows; ++k) {
+      states[i].AddRow({band + static_cast<Value>(rng.Below(kKeyDomain)),
+                        band + static_cast<Value>(rng.Below(kKeyDomain))});
+    }
+    states[i].Canonicalize();
+  }
+  return {exec::PhysicalPlan::Compile(*YannakakisProgram(d, AttrSet{0, 8})),
+          std::move(states)};
+}
+
+void BM_Exec_StatementGrain(benchmark::State& state) {
+  // The statement fork grain's evidence (kMinStatementForkRows in
+  // exec/physical_plan.h): two benchmark threads act as two clients of one
+  // 2-thread, 2-slot pool, each admitting its query with TryAdmit and
+  // running it with ExecuteAdmitted and retirement on, the way gyo_serve
+  // does. Arg(0) = shape (see MakeGrainQuery), Arg(1) = rows per relation.
+  // forks_statement_graph reads which driver ForkStatementGraph picked;
+  // the crossover itself is measured by forcing each driver in turn.
+  static std::unique_ptr<GrainQuery> query;
+  static std::unique_ptr<exec::ExecutorPool> pool;
+  if (state.thread_index() == 0) {
+    query = std::make_unique<GrainQuery>(MakeGrainQuery(
+        static_cast<int>(state.range(0)), static_cast<int>(state.range(1))));
+    exec::ExecutorPool::Options options;
+    options.threads = 2;
+    options.max_concurrent_queries = 2;
+    pool = std::make_unique<exec::ExecutorPool>(options);
+  }
+  // The loop's start barrier publishes the query and pool to thread 1.
+  exec::ExecContext ctx;
+  ctx.retire_consumed = true;
+  Program::Stats stats;
+  for (auto _ : state) {
+    exec::ExecutorPool::AdmitResult admit =
+        pool->TryAdmit(static_cast<uint64_t>(state.thread_index()));
+    std::vector<Relation> out = query->plan.ExecuteAdmitted(
+        query->states, ctx, *admit.admission, &stats);
+    benchmark::DoNotOptimize(out.back());
+  }
+  // The loop's end barrier: both threads are done with the query and pool.
+  if (state.thread_index() == 0) {
+    int64_t max_rows = 0;
+    for (const Relation& r : query->states) {
+      max_rows = std::max(max_rows, r.NumRows());
+    }
+    const Program& p = query->plan.program();
+    state.counters["result_rows"] = static_cast<double>(stats.result_rows);
+    const bool forks = exec::ForkStatementGraph(
+        pool->threads(), p.NumStatements(), query->plan.CriticalPathLength(),
+        max_rows, ctx.morsel_rows);
+    state.counters["forks_statement_graph"] = forks ? 1.0 : 0.0;
+    pool.reset();
+    query.reset();
+  }
+}
+BENCHMARK(BM_Exec_StatementGrain)
+    ->ArgsProduct({{0, 1}, {64, 256, 1024, 2048, 4096, 8192}})
+    ->Threads(2)
+    ->UseRealTime();
 
 void BM_Exec_MultiClient(benchmark::State& state) {
   // Arg(0) client threads share one 4-thread pool that admits at most 2

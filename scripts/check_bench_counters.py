@@ -77,15 +77,11 @@ CHECKED_PREFIXES = ("reduced_rows", "fixpoint_rows")
 #   * sip_rows_pruned on the SipStar family — the chain head consults the
 #     tail satellites' Bloom filters; a family-wide zero means sideways
 #     information passing stopped engaging on the shape built for it.
-#   * zone_map_skips on the ZoneMap family — its disjoint half guarantees
-#     the skip; a zero means Semijoin stopped consulting the zone maps.
 POSITIVE_RULES = (
     ("StealImbalance", "tasks_stolen",
      "work stealing no longer triggers on the skewed partition"),
     ("SipStar", "sip_rows_pruned",
      "sideways information passing no longer prunes the star chain"),
-    ("ZoneMap", "zone_map_skips",
-     "Semijoin no longer skips provably disjoint key ranges"),
     ("Serve_Overload", "requests_shed",
      "the overloaded server no longer sheds (backpressure is off)"),
     ("PlanCacheHit", "plan_cache_hits",

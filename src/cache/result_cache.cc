@@ -24,6 +24,26 @@ ResultKey MakeResultKey(const DatabaseSchema& d, const AttrSet& target,
   return key;
 }
 
+// What every entry holds beyond its result's column arenas, with a 64-bit
+// standard library (pointers and hash codes of 8 bytes):
+//   sizeof(Entry)                     the key, the result Relation (its
+//                                     schema and the headers of its
+//                                     attribute and column vectors), the
+//                                     Stats and the byte count
+//   + 2 pointers                      the std::list node's two links
+//   + sizeof(ResultKey) + 3 pointers  the index node: the key, the mapped
+//                                     list iterator, the next link and the
+//                                     cached hash code
+//   + 1 pointer                       the index's bucket slot (the
+//                                     unordered_map keeps its load factor
+//                                     at most 1)
+// Not counted: the Relation's heap arrays (one AttrId and one column
+// vector header per attribute) and the allocator's block headers.
+const int64_t ResultCache::kEntryOverheadBytes =
+    static_cast<int64_t>(sizeof(Entry) + 2 * sizeof(void*) +
+                         sizeof(ResultKey) + 3 * sizeof(void*) +
+                         sizeof(void*));
+
 ResultCache::ResultCache(const Options& options) : options_(options) {
   GYO_CHECK_MSG(options_.max_bytes >= 0, "ResultCache max_bytes must be >= 0");
 }
@@ -49,7 +69,7 @@ void ResultCache::Put(const ResultKey& key, const Value& value) {
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  const int64_t bytes = value.result.ArenaBytes();
+  const int64_t bytes = value.result.ArenaBytes() + kEntryOverheadBytes;
   stats_.bytes += bytes;
   lru_.push_front(Entry{key, value, bytes});
   index_.emplace(key, lru_.begin());

@@ -54,7 +54,8 @@ struct ResultCacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t entries = 0;
-  /// Result-relation bytes currently held (ArenaBytes).
+  /// Bytes currently charged against Options::max_bytes: every entry's
+  /// result arena bytes (ArenaBytes) plus ResultCache::kEntryOverheadBytes.
   int64_t bytes = 0;
 };
 
@@ -62,14 +63,23 @@ struct ResultCacheStats {
 /// execution's Program::Stats — keyed by ResultKey. A hit replays the
 /// original answer byte-for-byte, which is only sound for deterministic
 /// executions; callers gate nondeterministic runs out (gyo_serve only
-/// consults it for deterministic requests). Bounded by result bytes,
-/// LRU-evicted, thread-safe; Get returns copies made under the lock.
+/// consults it for deterministic requests). Bounded by bytes — each
+/// entry's result arenas plus a fixed per-entry overhead, so even empty
+/// results count — LRU-evicted, thread-safe; Get returns copies made under
+/// the lock.
 class ResultCache {
  public:
   struct Options {
-    /// Bound on cached result bytes (ArenaBytes). One entry always fits.
+    /// Bound on charged bytes: the sum over entries of the result's arena
+    /// bytes (ArenaBytes) plus kEntryOverheadBytes. One entry always fits.
     int64_t max_bytes = 32ll << 20;
   };
+
+  /// Bytes charged per entry on top of its result's arena bytes: the entry
+  /// and its list and index nodes (the arithmetic is in result_cache.cc).
+  /// Without it an empty result, or π_∅'s one-row TRUE, would cost 0 bytes
+  /// and never evict.
+  static const int64_t kEntryOverheadBytes;
 
   struct Value {
     Relation result;

@@ -85,10 +85,10 @@ class ExecutorPool;
      states are untouched; deterministic at every thread count (the filter     \
      builds are ordered before their consumers by dependency edges). */        \
   X(sip_rows_pruned, kSum)                                                     \
-  /* Probe rows skipped by zone-map disjointness: a Semijoin whose key ranges  \
-     in the two inputs provably cannot overlap skips the whole probe (the      \
-     result is empty either way). Counts the probe rows never hashed.          \
-     Deterministic — a pure function of the input states. */                   \
+  /* Always 0: Semijoin's zone-map disjointness skip is gone (served inputs    \
+     never carried current zone maps, so it never fired on served traffic).    \
+     It keeps its name and wire slot because servebench/ reads it (its         \
+     rel.pruned_ratio). */                                                     \
   X(zone_map_skips, kSum)
 // clang-format on
 
@@ -192,9 +192,13 @@ inline void Accumulate(QueryCounters& into, const QueryStats& from) {
 /// execution — Program::Execute runs with exactly these settings.
 struct ExecContext {
   /// Worker threads (>= 1). 1 = serial inline execution on the calling
-  /// thread: no pool, no admission control. Any other value routes the query
-  /// through an ExecutorPool (see `pool`), whose fixed pool width — not this
-  /// field — determines the actual parallelism.
+  /// thread: no pool, no scheduler, no admission control. Any other value
+  /// routes the query through an ExecutorPool (see `pool`), whose fixed pool
+  /// width — not this field — determines the actual parallelism. An
+  /// admitted query still runs its statements inline, in program order, on
+  /// the admitted thread unless exec::ForkStatementGraph (physical_plan.h)
+  /// says its statement graph pays: a pool of more than one thread, a plan
+  /// that is not a chain, and a big enough input.
   int threads = 1;
 
   /// Probe rows per morsel in the parallel operator kernels. 0 (the default)
@@ -203,9 +207,11 @@ struct ExecContext {
   /// operator forks only when its probe side spans at least
   /// kMinMorselsPerThread such morsels per pool thread. An explicit value
   /// forks any probe side of more than one morsel — the test lever that
-  /// forces splits on small data. Operators that do not fork run serially
-  /// inside their statement task (statement-level parallelism still
-  /// applies).
+  /// forces splits on small data. An explicit value also replaces the
+  /// statement graph's row grain (kMinStatementForkRows): a non-chain plan
+  /// on a pool forks its statement graph whenever its largest base relation
+  /// spans more than one morsel. Operators that do not fork run serially
+  /// inside their statement (statement-level parallelism still applies).
   int64_t morsel_rows = 0;
 
   /// No longer changes any result: every parallel operator concatenates its

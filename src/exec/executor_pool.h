@@ -32,10 +32,13 @@ namespace exec {
 ///
 /// The scheduler runs every admitted query's task graph concurrently
 /// (graph-scoped dependency counters; see TaskScheduler::RunGraph), with
-/// plan-level priorities so critical-path statements dispatch first. Each
-/// admitted query's caller thread participates in execution, so up to
-/// max_concurrent_queries() caller threads add themselves to the pool's
-/// threads() workers while their queries are in flight.
+/// plan-level priorities so critical-path statements dispatch first; a
+/// query whose graph would not pay (exec::ForkStatementGraph) runs its
+/// statements inline on its caller thread instead, forking only its large
+/// kernels onto the pool. Each admitted query's caller thread participates
+/// in execution, so up to max_concurrent_queries() caller threads add
+/// themselves to the pool's threads() workers while their queries are in
+/// flight.
 class ExecutorPool {
  public:
   struct Options {

@@ -167,19 +167,35 @@ PhysicalPlan PhysicalPlan::Compile(const Program& program) {
                       ComputeReaderCounts(program));
 }
 
-int PhysicalPlan::CriticalPathLength() const {
-  // Statements only depend on earlier statements, so one forward sweep
-  // computes the longest chain.
-  std::vector<int> depth(deps_.size(), 1);
+namespace {
+
+// Longest chain of the statement DAG `deps` (Dependencies() form).
+// Statements only depend on earlier statements, so one forward sweep
+// computes it.
+int CriticalPath(const std::vector<std::vector<int>>& deps) {
+  std::vector<int> depth(deps.size(), 1);
   int best = 0;
-  for (size_t k = 0; k < deps_.size(); ++k) {
-    for (int d : deps_[k]) {
+  for (size_t k = 0; k < deps.size(); ++k) {
+    for (int d : deps[k]) {
       depth[k] = std::max(depth[k], depth[static_cast<size_t>(d)] + 1);
     }
     best = std::max(best, depth[k]);
   }
   return best;
 }
+
+}  // namespace
+
+bool ForkStatementGraph(int pool_threads, int num_statements,
+                        int critical_path, int64_t max_base_rows,
+                        int64_t morsel_rows) {
+  const bool big_enough = morsel_rows > 0
+                              ? max_base_rows > morsel_rows
+                              : max_base_rows >= kMinStatementForkRows;
+  return pool_threads > 1 && critical_path < num_statements && big_enough;
+}
+
+int PhysicalPlan::CriticalPathLength() const { return CriticalPath(deps_); }
 
 int PhysicalPlan::NumSourceStatements() const {
   int n = 0;
@@ -192,8 +208,8 @@ int PhysicalPlan::NumSourceStatements() const {
 namespace {
 
 // Live relation-state accounting plus the retirement countdowns, shared by
-// every statement task of one query. All counters are atomics: statement
-// tasks for one query run concurrently on the pool.
+// every statement of one query. All counters are atomics: under the graph
+// driver a query's statements run concurrently on the pool.
 class StateTracker {
  public:
   // `reader_counts` comes from the compile-time analysis; `retain` lists
@@ -224,16 +240,16 @@ class StateTracker {
 
   static int64_t BytesOf(const Relation& r) { return r.ArenaBytes(); }
 
-  // Called by a statement task right after it stored its output.
+  // Called by a statement right after it stored its output.
   void RecordProduced(const Relation& out) { AddBytes(BytesOf(out)); }
 
   // One reader of slot `id` finished with it: decrements the slot's
   // remaining-reader countdown and frees the slot when this was the last
-  // reader. Safe without a lock: the freeing task IS the slot's last reader
-  // — every other reader's fetch_sub (an acq_rel RMW) already happened, so
-  // their reads of the slot happen-before the free. SIP filter-build tasks
-  // call this directly (their reads are counted into the seed counts by
-  // ExecuteImpl), statement tasks go through RecordRetired below.
+  // reader. Safe without a lock: the freeing statement IS the slot's last
+  // reader — every other reader's fetch_sub (an acq_rel RMW) already
+  // happened, so their reads of the slot happen-before the free. SIP filter
+  // builds call this directly (their reads are counted into the seed counts
+  // by ExecuteImpl), statements go through RecordRetired below.
   void RecordSlotRead(int id) {
     if (!retire_) return;
     const size_t slot = static_cast<size_t>(id);
@@ -247,8 +263,8 @@ class StateTracker {
     retired_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Called by statement `s`'s task after it finished: releases every slot
-  // the statement read.
+  // Called by statement `s` after it finished: releases every slot the
+  // statement read.
   void RecordRetired(const Program::Statement& s) {
     if (!retire_) return;
     ForEachInput(s, [&](int id) { RecordSlotRead(id); });
@@ -278,23 +294,108 @@ class StateTracker {
   std::atomic<int64_t> retired_{0};
 };
 
-// Builds and runs the statement task graph on `scheduler`. Each statement
-// gets a plan-level priority — the length of its longest downstream
-// dependency chain — so critical-path statements dispatch first when many
-// statements (or many queries) compete for the pool.
-// The graph feeds op_opts.counters (the query's counter block), and
+// The statement and filter-build bodies of one query, shared by both
+// drivers: the inline driver calls them in program order on one thread,
+// the graph driver from its tasks. Holds the kernel options and the SIP
+// registry's run-time half — filter storage plus the per-consumer filter
+// lists.
+class StatementRunner {
+ public:
+  StatementRunner(const Program& program, const std::vector<SipFilter>& sip,
+                  std::vector<Relation>& states, const OpExecOpts& op_opts,
+                  std::vector<int64_t>& rows_produced, StateTracker& tracker)
+      : program_(program),
+        sip_(sip),
+        states_(states),
+        rows_produced_(rows_produced),
+        tracker_(tracker),
+        op_opts_(op_opts),
+        filters_(sip.size()),
+        consumer_filters_(static_cast<size_t>(program.NumStatements())) {
+    for (size_t f = 0; f < sip.size(); ++f) {
+      for (int c : sip[f].consumers) {
+        consumer_filters_[static_cast<size_t>(c)].push_back(&filters_[f]);
+      }
+    }
+  }
+
+  // Builds SIP filter `f` over its base source slot, then releases the
+  // filter's read of that slot.
+  void BuildFilter(size_t f) {
+    const SipFilter& sf = sip_[f];
+    const Relation& src = states_[static_cast<size_t>(sf.source)];
+    std::vector<int> cols;
+    cols.reserve(sf.key_attrs.size());
+    for (AttrId a : sf.key_attrs) cols.push_back(src.ColIndex(a));
+    filters_[f] = BuildSipFilter(src, cols);
+    tracker_.RecordSlotRead(sf.source);
+  }
+
+  // Runs statement `k`'s kernel into its slot, tallies its rows, and
+  // releases the slots it read.
+  void RunStatement(int k) {
+    const Program::Statement& s = program_.Statements()[static_cast<size_t>(k)];
+    const std::vector<const BloomFilter*>& sip =
+        consumer_filters_[static_cast<size_t>(k)];
+    OpExecOpts with_sip;
+    if (!sip.empty()) {
+      with_sip = op_opts_;
+      with_sip.sip_filters = &sip;
+    }
+    const OpExecOpts& opts = sip.empty() ? op_opts_ : with_sip;
+    Relation& out = states_[static_cast<size_t>(program_.num_base() + k)];
+    switch (s.kind) {
+      case Program::Statement::Kind::kJoin:
+        out = NaturalJoin(states_[static_cast<size_t>(s.lhs)],
+                          states_[static_cast<size_t>(s.rhs)], opts);
+        break;
+      case Program::Statement::Kind::kSemijoin:
+        out = Semijoin(states_[static_cast<size_t>(s.lhs)],
+                       states_[static_cast<size_t>(s.rhs)], opts);
+        break;
+      case Program::Statement::Kind::kProject:
+        out = Project(states_[static_cast<size_t>(s.lhs)], s.target);
+        break;
+    }
+    rows_produced_[static_cast<size_t>(k)] = out.NumRows();
+    tracker_.RecordProduced(out);
+    tracker_.RecordRetired(s);
+  }
+
+  // The inline driver: every SIP filter first, in registry order, then
+  // statements 0..n-1. Program order is a topological order (statements
+  // read only earlier slots), and every consumer runs after its filters.
+  void RunInline() {
+    for (size_t f = 0; f < sip_.size(); ++f) BuildFilter(f);
+    for (int k = 0; k < program_.NumStatements(); ++k) RunStatement(k);
+  }
+
+ private:
+  const Program& program_;
+  const std::vector<SipFilter>& sip_;
+  std::vector<Relation>& states_;
+  std::vector<int64_t>& rows_produced_;
+  StateTracker& tracker_;
+  const OpExecOpts op_opts_;
+  std::vector<BloomFilter> filters_;
+  std::vector<std::vector<const BloomFilter*>> consumer_filters_;
+};
+
+// The graph driver: builds the statement task graph and runs it on
+// `scheduler`. Each statement gets a plan-level priority — the length of its
+// longest downstream dependency chain — so critical-path statements
+// dispatch first when many statements (or many queries) compete for the
+// pool. Steals feed `counters` (the query's block), and
 // `initial_age_seconds` — the admission-queue wait — ages every statement's
 // priority (TaskScheduler::AgedPriority) so a long-queued query's tail is
 // not starved by deeper plans admitted earlier.
-void RunStatements(const Program& program,
-                   const std::vector<std::vector<int>>& deps,
-                   const std::vector<SipFilter>& sip,
-                   std::vector<Relation>& states, TaskScheduler& scheduler,
-                   const OpExecOpts& op_opts,
-                   std::vector<int64_t>& rows_produced, StateTracker& tracker,
-                   double initial_age_seconds) {
-  const int num_base = program.num_base();
-  const int num_statements = program.NumStatements();
+void RunStatementGraph(StatementRunner& runner,
+                       const std::vector<std::vector<int>>& deps,
+                       const std::vector<SipFilter>& sip,
+                       TaskScheduler& scheduler,
+                       std::shared_ptr<QueryCounters> counters,
+                       double initial_age_seconds) {
+  const int num_statements = static_cast<int>(deps.size());
 
   // Tail critical path: priority[k] = longest chain from statement k to any
   // sink, in statements. Statements only depend on earlier ones, so one
@@ -308,55 +409,10 @@ void RunStatements(const Program& program,
     }
   }
 
-  // The SIP registry's run-time half: filter storage plus the per-consumer
-  // filter lists the statement tasks consult through their OpExecOpts. Both
-  // live on this frame, which outlives the graph run.
-  std::vector<BloomFilter> filters(sip.size());
-  std::vector<std::vector<const BloomFilter*>> consumer_filters(
-      static_cast<size_t>(num_statements));
-  for (size_t f = 0; f < sip.size(); ++f) {
-    for (int c : sip[f].consumers) {
-      consumer_filters[static_cast<size_t>(c)].push_back(&filters[f]);
-    }
-  }
-  std::vector<OpExecOpts> stmt_opts(static_cast<size_t>(num_statements),
-                                    op_opts);
-  for (int k = 0; k < num_statements; ++k) {
-    if (!consumer_filters[static_cast<size_t>(k)].empty()) {
-      stmt_opts[static_cast<size_t>(k)].sip_filters =
-          &consumer_filters[static_cast<size_t>(k)];
-    }
-  }
-
   TaskGraph graph;
   for (int k = 0; k < num_statements; ++k) {
-    // Pointer, not reference: the task closures outlive this loop iteration
-    // (the statements vector itself is stable for the program's lifetime).
-    const Program::Statement* s =
-        &program.Statements()[static_cast<size_t>(k)];
-    const size_t slot = static_cast<size_t>(num_base + k);
-    graph.AddTask(
-        [&states, &rows_produced, &stmt_opts, &tracker, s, slot, k] {
-          const OpExecOpts& opts = stmt_opts[static_cast<size_t>(k)];
-          Relation& out = states[slot];
-          switch (s->kind) {
-            case Program::Statement::Kind::kJoin:
-              out = NaturalJoin(states[static_cast<size_t>(s->lhs)],
-                                states[static_cast<size_t>(s->rhs)], opts);
-              break;
-            case Program::Statement::Kind::kSemijoin:
-              out = Semijoin(states[static_cast<size_t>(s->lhs)],
-                             states[static_cast<size_t>(s->rhs)], opts);
-              break;
-            case Program::Statement::Kind::kProject:
-              out = Project(states[static_cast<size_t>(s->lhs)], s->target);
-              break;
-          }
-          rows_produced[static_cast<size_t>(k)] = out.NumRows();
-          tracker.RecordProduced(out);
-          tracker.RecordRetired(*s);
-        },
-        priority[static_cast<size_t>(k)]);
+    graph.AddTask([&runner, k] { runner.RunStatement(k); },
+                  priority[static_cast<size_t>(k)]);
   }
   for (int k = 0; k < num_statements; ++k) {
     for (int d : deps[static_cast<size_t>(k)]) graph.AddDependency(k, d);
@@ -367,30 +423,21 @@ void RunStatements(const Program& program,
   // count. Priority: one above the hottest consumer, so a filter never
   // queues behind the statement it gates.
   for (size_t f = 0; f < sip.size(); ++f) {
-    const SipFilter* sf = &sip[f];
-    BloomFilter* dst = &filters[f];
     int filter_priority = 1;
-    for (int c : sf->consumers) {
+    for (int c : sip[f].consumers) {
       filter_priority =
           std::max(filter_priority, priority[static_cast<size_t>(c)] + 1);
     }
-    const int task = graph.AddTask(
-        [&states, &tracker, sf, dst] {
-          const Relation& src = states[static_cast<size_t>(sf->source)];
-          std::vector<int> cols;
-          cols.reserve(sf->key_attrs.size());
-          for (AttrId a : sf->key_attrs) cols.push_back(src.ColIndex(a));
-          *dst = BuildSipFilter(src, cols);
-          tracker.RecordSlotRead(sf->source);
-        },
-        filter_priority);
-    for (int c : sf->consumers) graph.AddDependency(c, task);
+    const int task =
+        graph.AddTask([&runner, f] { runner.BuildFilter(f); }, filter_priority);
+    for (int c : sip[f].consumers) graph.AddDependency(c, task);
   }
-  scheduler.RunGraph(graph, op_opts.counters, initial_age_seconds);
+  scheduler.RunGraph(graph, std::move(counters), initial_age_seconds);
 }
 
-// Adds what the statement graph leaves behind once it has drained: one task
-// per statement, and the state tracker's retirement count and peak.
+// Adds what a query leaves behind once its last statement has run: one
+// task per statement (under either driver), and the state tracker's
+// retirement count and peak.
 void FinishCounters(QueryCounters& counters, int num_statements,
                     const StateTracker& tracker) {
   QueryStats tail;
@@ -426,16 +473,21 @@ std::vector<Relation> ExecuteImpl(const Program& program,
 
   // Eager validation: derive the schema of every statement from the actual
   // base relations, failing with the statement index before any data moves.
+  // The largest base relation sizes the statement-level fork decision.
   std::vector<AttrSet> base_schemas;
   base_schemas.reserve(base.size());
-  for (const Relation& r : base) base_schemas.push_back(r.Schema());
+  int64_t max_base_rows = 0;
+  for (const Relation& r : base) {
+    base_schemas.push_back(r.Schema());
+    max_base_rows = std::max(max_base_rows, r.NumRows());
+  }
   std::vector<AttrSet> schemas =
       program.ValidateAndDeriveSchemas(std::move(base_schemas));
 
   // All relation states, base first. Statement slots start as empty
   // relations over their derived schemas and are move-assigned by their
-  // task; the slots are disjoint, so no synchronization is needed beyond
-  // the task dependencies themselves.
+  // statement; the slots are disjoint, so no synchronization is needed
+  // beyond program order (inline) or the task dependencies (graph).
   std::vector<Relation> states;
   states.reserve(static_cast<size_t>(num_base + num_statements));
   for (Relation& r : base) states.push_back(std::move(r));
@@ -443,14 +495,11 @@ std::vector<Relation> ExecuteImpl(const Program& program,
     states.emplace_back(schemas[static_cast<size_t>(num_base + k)]);
   }
 
-  OpExecOpts op_opts;
-  op_opts.morsel_rows = ctx.morsel_rows;
-
   // SIP analysis per execution (it needs the derived schemas, and the
-  // filters themselves depend on the actual base states). Filter tasks read
-  // their source slot once more than the compile-time reader counts know
-  // about, so retirement seeds an adjusted local copy — the plan's public
-  // ReaderCounts() stays the pure statement-level analysis.
+  // filters themselves depend on the actual base states). Filter builds
+  // read their source slot once more than the compile-time reader counts
+  // know about, so retirement seeds an adjusted local copy — the plan's
+  // public ReaderCounts() stays the pure statement-level analysis.
   const std::vector<SipFilter> sip =
       ctx.enable_sip ? ComputeSipFilters(program, schemas)
                      : std::vector<SipFilter>();
@@ -464,21 +513,41 @@ std::vector<Relation> ExecuteImpl(const Program& program,
     seed_counts = &adjusted_counts;
   }
 
-  // Per-task partial stats, written into disjoint slots and merged after the
-  // RunGraph barrier.
+  // Per-statement partial stats, written into disjoint slots and merged
+  // after the last statement.
   std::vector<int64_t> rows_produced(static_cast<size_t>(num_statements), 0);
   StateTracker tracker(states, ctx.retire_consumed, *seed_counts,
                        ctx.retain_states);
 
-  // One counter block per query, fed by the statement tasks, the kernels
-  // and the scheduler. An admission brings its own block, seeded with the
-  // queue depth it saw.
+  // Runs the query with its kernels forking on `scheduler` (nullptr for the
+  // serial engine) and every count going to `counters`, the query's one
+  // block. The statement graph forks only when ForkStatementGraph says it
+  // pays; otherwise the calling thread runs the statements inline.
+  auto run = [&](TaskScheduler* scheduler,
+                 const std::shared_ptr<QueryCounters>& counters,
+                 double initial_age_seconds) {
+    OpExecOpts op_opts;
+    op_opts.morsel_rows = ctx.morsel_rows;
+    op_opts.scheduler = scheduler;
+    op_opts.counters = counters;
+    StatementRunner runner(program, sip, states, op_opts, rows_produced,
+                           tracker);
+    if (scheduler != nullptr &&
+        ForkStatementGraph(scheduler->threads(), num_statements,
+                           CriticalPath(deps), max_base_rows,
+                           ctx.morsel_rows)) {
+      RunStatementGraph(runner, deps, sip, *scheduler, counters,
+                        initial_age_seconds);
+    } else {
+      runner.RunInline();
+    }
+    FinishCounters(*counters, num_statements, tracker);
+  };
+  // An admission brings its own counter block, seeded with the queue depth
+  // it saw, and the pool its kernels fork on.
   auto run_admitted = [&](ExecutorPool::Admission& admission) {
-    op_opts.scheduler = &admission.scheduler();
-    op_opts.counters = admission.counters();
-    RunStatements(program, deps, sip, states, admission.scheduler(), op_opts,
-                  rows_produced, tracker, admission.queue_wait_seconds());
-    FinishCounters(*op_opts.counters, num_statements, tracker);
+    run(&admission.scheduler(), admission.counters(),
+        admission.queue_wait_seconds());
     return admission.Finish();
   };
   QueryStats query_stats;
@@ -493,21 +562,17 @@ std::vector<Relation> ExecuteImpl(const Program& program,
     // Serial specialization (Program::Execute's path): inline execution on
     // the calling thread, no shared pool, no admission control.
     const auto started = std::chrono::steady_clock::now();
-    TaskScheduler serial(1);
-    op_opts.scheduler = &serial;
-    op_opts.counters = std::make_shared<QueryCounters>();
-    RunStatements(program, deps, sip, states, serial, op_opts, rows_produced,
-                  tracker, /*initial_age_seconds=*/0.0);
-    FinishCounters(*op_opts.counters, num_statements, tracker);
-    query_stats = op_opts.counters->Snapshot();
+    const auto counters = std::make_shared<QueryCounters>();
+    run(nullptr, counters, /*initial_age_seconds=*/0.0);
+    query_stats = counters->Snapshot();
     query_stats.run_time_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started)
             .count();
   } else {
     // Multi-tenant path: admission into the shared pool (ctx.pool, or the
-    // process-wide one), then the query's graph runs on the pool's workers
-    // concurrently with other admitted queries.
+    // process-wide one), then the query runs on the pool concurrently with
+    // other admitted queries.
     ExecutorPool& pool =
         ctx.pool != nullptr ? *ctx.pool : ExecutorPool::Global();
     ExecutorPool::Admission admission = pool.Admit(ctx.submitter);

@@ -56,9 +56,10 @@ class TaskGraph {
 
 /// A fixed pool of worker threads executing dependency-ordered task DAGs and
 /// morsel-style parallel loops. This is the core of the exec subsystem: the
-/// PhysicalPlan runtime maps program statements onto RunGraph (statement-level
-/// parallelism) and the rel/ops kernels call ParallelFor from inside those
-/// tasks (intra-operator morsel parallelism).
+/// PhysicalPlan runtime maps the statements of a query whose graph pays
+/// (exec::ForkStatementGraph) onto RunGraph (statement-level parallelism),
+/// and the rel/ops kernels call ParallelFor from inside those tasks or from
+/// a query's inline statements (intra-operator morsel parallelism).
 ///
 /// Scheduling is work-stealing with priority hints. Each worker owns a
 /// priority-bucketed deque: jobs a worker creates (graph successors it
@@ -96,7 +97,7 @@ class TaskGraph {
 /// threads == 1 is the serial specialization: no worker threads are spawned,
 /// every job routes through the overflow queue, and both modes execute
 /// inline on the calling thread in deterministic (priority bucket, then
-/// FIFO / loop) order. Program::Execute runs on exactly this path.
+/// FIFO / loop) order.
 class TaskScheduler {
  public:
   struct Options {

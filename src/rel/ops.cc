@@ -465,22 +465,6 @@ Relation Semijoin(const Relation& r, const Relation& s,
   });
   const std::vector<const Value*> probe_keys = KeyCols(r, r_cols);
 
-  // Zone-map disjointness: when some key column's value ranges in r and s
-  // provably cannot overlap, no r row can have a match — the result is
-  // empty without hashing a single row, bit-identical to the full path's
-  // empty result (both are canonical). ZoneRange answers only when the maps
-  // are current (AddRow-built or canonicalized inputs) and both sides are
-  // non-empty.
-  for (size_t k = 0; k < r_cols.size(); ++k) {
-    Value rmin, rmax, smin, smax;
-    if (r.ZoneRange(r_cols[k], &rmin, &rmax) &&
-        s.ZoneRange(s_cols[k], &smin, &smax) &&
-        (rmax < smin || smax < rmin)) {
-      Tally(opts, &QueryCounters::zone_map_skips, r.NumRows());
-      return out;
-    }
-  }
-
   // The morsels' selections concatenate in morsel order into the
   // one-morsel selection. Every morsel tests the same filters on the same
   // hashes, so the prune counters do not depend on the thread count or the

@@ -51,7 +51,7 @@ struct OpExecOpts {
   /// kMinMorselsPerThread morsels per pool thread.
   int64_t morsel_rows = 0;
   /// When non-null, the query's counter block: the kernels add the morsels
-  /// they dispatch and their Bloom, SIP and zone-map pruning, and the
+  /// they dispatch and their Bloom and SIP pruning, and the
   /// scheduler's parallel loops add steals. Purely observational — counting
   /// never changes results. Shared ownership: queued jobs co-own the block,
   /// so a job drained after the owning query finished never dangles.

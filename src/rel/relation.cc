@@ -32,28 +32,12 @@ bool Relation::RowEq(int64_t a, int64_t b) const {
   return true;
 }
 
-void Relation::RecomputeZones() const {
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    const std::vector<Value>& col = cols_[c];
-    Value lo = col[0], hi = col[0];
-    for (int64_t i = 1; i < num_rows_; ++i) {
-      const Value v = col[static_cast<size_t>(i)];
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    zone_min_[c] = lo;
-    zone_max_[c] = hi;
-  }
-  zones_valid_ = true;
-}
-
 void Relation::Canonicalize() {
   if (canonical_) return;
   if (cols_.empty()) {
     // Arity-0 relations are TRUE (one empty tuple) or FALSE (none).
     num_rows_ = num_rows_ > 0 ? 1 : 0;
     canonical_ = true;
-    zones_valid_ = true;  // trivially: no columns to map
     return;
   }
   std::vector<int64_t> order(static_cast<size_t>(num_rows_));
@@ -76,8 +60,6 @@ void Relation::Canonicalize() {
   }
   num_rows_ = static_cast<int64_t>(keep.size());
   canonical_ = true;
-  if (!zones_valid_ && num_rows_ > 0) RecomputeZones();
-  if (num_rows_ == 0) zones_valid_ = true;  // vacuously current
 }
 
 bool Relation::CheckCanonical() const {

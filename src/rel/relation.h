@@ -98,11 +98,7 @@ class Relation {
  public:
   /// Creates an empty relation over `schema`.
   explicit Relation(const AttrSet& schema)
-      : schema_(schema),
-        attrs_(schema.ToVector()),
-        cols_(attrs_.size()),
-        zone_min_(attrs_.size()),
-        zone_max_(attrs_.size()) {}
+      : schema_(schema), attrs_(schema.ToVector()), cols_(attrs_.size()) {}
 
   Relation(const Relation&) = default;
   Relation& operator=(const Relation&) = default;
@@ -139,12 +135,7 @@ class Relation {
     }
     const int64_t first = num_rows_;
     num_rows_ += rows;
-    if (rows > 0) {
-      canonical_ = false;
-      // The new rows are written through ColData() behind the relation's
-      // back, so the zone maps cannot track them; Canonicalize() rebuilds.
-      zones_valid_ = false;
-    }
+    if (rows > 0) canonical_ = false;
     return first;
   }
 
@@ -157,14 +148,6 @@ class Relation {
       // Copy before push_back: `src` may alias this relation's own arenas.
       const Value v = src[c];
       cols_[c].push_back(v);
-      if (zones_valid_) {
-        if (num_rows_ == 0) {
-          zone_min_[c] = zone_max_[c] = v;
-        } else {
-          zone_min_[c] = std::min(zone_min_[c], v);
-          zone_max_[c] = std::max(zone_max_[c], v);
-        }
-      }
     }
     ++num_rows_;
     canonical_ = false;
@@ -243,23 +226,8 @@ class Relation {
   Value At(int64_t i, AttrId attr) const { return Cell(i, ColIndex(attr)); }
 
   /// Sorts rows and removes duplicates (set semantics). Idempotent; a no-op
-  /// when the relation is already canonical. Also rebuilds the per-column
-  /// zone maps when they were invalidated by AppendRows().
+  /// when the relation is already canonical.
   void Canonicalize();
-
-  /// Per-column min/max zone map. Returns true and fills [*min, *max] with
-  /// column `c`'s value range when the zones are current (maintained
-  /// incrementally by AddRow, rebuilt by Canonicalize) and the relation is
-  /// non-empty; false when unknown (after AppendRows, before the next
-  /// Canonicalize) — callers must treat false as "any range possible".
-  /// Semijoin uses disjoint key ranges to skip whole probe passes.
-  bool ZoneRange(int c, Value* min, Value* max) const {
-    GYO_DCHECK(c >= 0 && static_cast<size_t>(c) < cols_.size());
-    if (!zones_valid_ || num_rows_ == 0) return false;
-    *min = zone_min_[static_cast<size_t>(c)];
-    *max = zone_max_[static_cast<size_t>(c)];
-    return true;
-  }
 
   /// True when rows are known to be sorted and duplicate-free.
   bool IsCanonical() const { return canonical_; }
@@ -297,8 +265,6 @@ class Relation {
   bool RowLess(int64_t a, int64_t b) const;
   bool RowEq(int64_t a, int64_t b) const;
 
-  void RecomputeZones() const;
-
   AttrSet schema_;
   std::vector<AttrId> attrs_;
   // `mutable`: EqualsAsSet() canonicalizes lazily on const relations; under
@@ -306,12 +272,6 @@ class Relation {
   mutable std::vector<std::vector<Value>> cols_;
   mutable int64_t num_rows_ = 0;
   mutable bool canonical_ = true;
-  // Per-column min/max zone maps (see ZoneRange). Deliberately excluded
-  // from IdenticalTo: they are derived metadata, not logical value, and
-  // whether they are current depends on the construction path.
-  mutable std::vector<Value> zone_min_;
-  mutable std::vector<Value> zone_max_;
-  mutable bool zones_valid_ = true;
 };
 
 inline Value RowRef::operator[](int i) const { return rel_->Cell(row_, i); }

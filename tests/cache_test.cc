@@ -340,6 +340,35 @@ TEST(ResultCacheTest, ByteBoundEvictsLru) {
   EXPECT_EQ(stats.evictions, 2u);
 }
 
+TEST(ResultCacheTest, EmptyResultsCountTowardTheByteBound) {
+  // An empty result and π_∅'s one-row TRUE hold no arena bytes, yet every
+  // entry costs memory. Distinct ones put into a small budget must evict
+  // and stay under it instead of growing the cache without bound.
+  ResultCache::Options options;
+  options.max_bytes = 16 << 10;
+  ResultCache rc(options);
+  constexpr int kPuts = 4096;
+  for (int i = 0; i < kPuts; ++i) {
+    const bool empty = i % 2 == 0;
+    Relation r(empty ? AttrSet({0, 1}) : AttrSet());
+    if (!empty) {
+      r.AppendRows(1);  // TRUE: one empty tuple
+      r.MarkCanonical();
+    }
+    ASSERT_EQ(r.ArenaBytes(), 0);
+    ResultKey key;
+    key.a = Fingerprint{static_cast<uint64_t>(i), 1};
+    key.b = Fingerprint{2, static_cast<uint64_t>(i)};
+    rc.Put(key, ResultCache::Value{r, Program::Stats{}});
+  }
+  const ResultCacheStats stats = rc.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LT(stats.entries, static_cast<uint64_t>(kPuts));
+  EXPECT_EQ(stats.entries + stats.evictions, static_cast<uint64_t>(kPuts));
+  EXPECT_GT(stats.bytes, 0);
+  EXPECT_LE(stats.bytes, options.max_bytes);
+}
+
 TEST(ResultCacheTest, DuplicatePutKeepsTheIncumbentAndClearResets) {
   // Two racing misses may both compute and Put the same key; the second
   // insert only refreshes recency (both values are bit-identical by

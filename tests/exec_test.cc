@@ -9,6 +9,7 @@
 
 #include "exec/physical_plan.h"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -936,6 +937,148 @@ TEST(JoinScatterStormTest, QueryMorselsFollowTheGrain) {
       }
     }
   }
+}
+
+// --- The statement-level fork rule: a query runs its statements as a task
+// graph only when the pool has more than one thread, the plan is not a
+// chain, and the input is big enough; otherwise inline in program order. ---
+
+TEST(StatementForkTest, RuleFlipsAtEveryEdge) {
+  // A 3-statement plan with a critical path of 2 (two independent sources
+  // and their join) over an input exactly at the grain forks...
+  const int64_t grain = exec::kMinStatementForkRows;
+  EXPECT_TRUE(exec::ForkStatementGraph(2, 3, 2, grain, 0));
+  // ...but not on a 1-thread pool,
+  EXPECT_FALSE(exec::ForkStatementGraph(1, 3, 2, grain, 0));
+  // nor as a chain, at any size,
+  EXPECT_FALSE(exec::ForkStatementGraph(2, 3, 3, grain, 0));
+  EXPECT_FALSE(exec::ForkStatementGraph(4, 3, 3, int64_t{1} << 30, 0));
+  EXPECT_FALSE(exec::ForkStatementGraph(2, 1, 1, grain, 0));
+  EXPECT_FALSE(exec::ForkStatementGraph(2, 0, 0, grain, 0));
+  // nor one row under the grain.
+  EXPECT_FALSE(exec::ForkStatementGraph(2, 3, 2, grain - 1, 0));
+  // An explicit morsel size replaces the grain: one morsel stays inline,
+  // two fork, whatever the grain says.
+  EXPECT_FALSE(exec::ForkStatementGraph(2, 3, 2, 16, 16));
+  EXPECT_TRUE(exec::ForkStatementGraph(2, 3, 2, 17, 16));
+  EXPECT_TRUE(exec::ForkStatementGraph(2, 3, 2, 32, 16));
+  EXPECT_FALSE(exec::ForkStatementGraph(2, 3, 2, grain, grain));
+  EXPECT_TRUE(exec::ForkStatementGraph(2, 3, 2, grain + 1, grain));
+}
+
+TEST(StatementForkTest, ChainPlansAreChains) {
+  // The chain clause on the plans the served workloads run: a CC-pruned
+  // ring join is a chain of joins ending in its projection, while the
+  // Yannakakis program of an 8-relation path has independent semijoins.
+  const Program ring = CCPrunedProgram(Aring(6), AttrSet{0, 3});
+  const exec::PhysicalPlan ring_plan = exec::PhysicalPlan::Compile(ring);
+  EXPECT_EQ(ring.NumStatements(), 6);
+  EXPECT_EQ(ring_plan.CriticalPathLength(), 6);
+  const Program path = *YannakakisProgram(PathSchema(9), AttrSet{0, 8});
+  const exec::PhysicalPlan path_plan = exec::PhysicalPlan::Compile(path);
+  EXPECT_EQ(path.NumStatements(), 28);
+  EXPECT_EQ(path_plan.CriticalPathLength(), 22);
+}
+
+TEST(StatementForkTest, BothDriversMatchSerialAtTheGrain) {
+  // Every strategy's program over a tree schema whose largest relation
+  // sits one row under the grain (every query inline) and at the grain
+  // (non-chain plans fork), through both pooled entry points at 2 and 4
+  // threads, SIP on and off, retirement on: the states, the Stats, the
+  // retirement count and the SIP pruning all equal the serial run's.
+  // A star around attribute 0 with one more relation hanging off a leaf:
+  // its full reducer semijoins one relation by two base leaves on the same
+  // key, so SIP prunes, and its plans are not all chains.
+  const DatabaseSchema d{AttrSet{0, 1}, AttrSet{0, 2}, AttrSet{0, 3},
+                         AttrSet{2, 4}, AttrSet{0, 5}, AttrSet{0, 6}};
+  const AttrSet x{0, 1};  // inside one relation: tree projection applies
+  int forked = 0;
+  int inline_runs = 0;
+  int64_t forked_sip_pruned = 0;
+  int64_t forked_retired = 0;
+  for (int64_t rows :
+       {exec::kMinStatementForkRows - 1, exec::kMinStatementForkRows}) {
+    // Half the rows planted from one universal relation (key-like values,
+    // so no projected duplicates), half dangling from each relation's own
+    // value band, which SIP and the semijoins prune: every relation holds
+    // exactly `rows` rows.
+    std::vector<Relation> states =
+        MakeUR(d, static_cast<int>(rows / 2), 1 << 20, 4000);
+    for (size_t i = 0; i < states.size(); ++i) {
+      const Value band = static_cast<Value>(i + 1) << 21;
+      for (Value k = rows / 2; k < rows; ++k) states[i].AddRow({band + k, k});
+      states[i].Canonicalize();
+    }
+    int64_t max_rows = 0;
+    for (const Relation& r : states) max_rows = std::max(max_rows, r.NumRows());
+    ASSERT_EQ(max_rows, rows);
+    for (const Program& p : AllStrategyPrograms(d, x)) {
+      const exec::PhysicalPlan plan = exec::PhysicalPlan::Compile(p);
+      for (bool sip : {true, false}) {
+        exec::ExecContext serial_ctx;
+        serial_ctx.retire_consumed = true;
+        serial_ctx.enable_sip = sip;
+        exec::QueryStats serial_query;
+        serial_ctx.query_stats = &serial_query;
+        Program::Stats serial_stats;
+        const std::vector<Relation> serial =
+            exec::Execute(p, states, serial_ctx, &serial_stats);
+        for (int threads : {2, 4}) {
+          SCOPED_TRACE(testing::Message()
+                       << "rows=" << rows << " sip=" << sip
+                       << " threads=" << threads);
+          const bool forks = exec::ForkStatementGraph(
+              threads, p.NumStatements(), plan.CriticalPathLength(), rows, 0);
+          ++(forks ? forked : inline_runs);
+          PooledCtx pooled(threads);
+          exec::ExecContext ctx = pooled.ctx;
+          ctx.retire_consumed = true;
+          ctx.enable_sip = sip;
+          exec::QueryStats query;
+          ctx.query_stats = &query;
+          auto expect_serial = [&](const std::vector<Relation>& out,
+                                   const Program::Stats& stats) {
+            ExpectBitIdentical(serial, out);
+            EXPECT_EQ(stats.max_intermediate_rows,
+                      serial_stats.max_intermediate_rows);
+            EXPECT_EQ(stats.total_rows_produced,
+                      serial_stats.total_rows_produced);
+            EXPECT_EQ(stats.result_rows, serial_stats.result_rows);
+            EXPECT_EQ(query.retired_states, serial_query.retired_states);
+            EXPECT_EQ(query.sip_rows_pruned, serial_query.sip_rows_pruned);
+            EXPECT_EQ(query.probe_rows_pruned,
+                      serial_query.probe_rows_pruned);
+            EXPECT_EQ(query.tasks, p.NumStatements());
+            if (!forks) {
+              // No kernel of these inputs reaches the kernel fork grain, so
+              // an inline query hands nothing to the pool.
+              EXPECT_EQ(query.morsels, 0);
+              EXPECT_EQ(query.tasks_stolen, 0);
+            }
+          };
+          Program::Stats stats;
+          expect_serial(exec::Execute(p, states, ctx, &stats), stats);
+          exec::ExecutorPool::AdmitResult admit = pooled.pool.TryAdmit();
+          ASSERT_EQ(admit.status, exec::ExecutorPool::AdmitStatus::kAdmitted);
+          std::vector<Relation> admitted =
+              plan.ExecuteAdmitted(states, ctx, *admit.admission, &stats);
+          admit.admission.reset();
+          expect_serial(admitted, stats);
+          if (forks) {
+            forked_sip_pruned += query.sip_rows_pruned;
+            forked_retired += query.retired_states;
+          }
+        }
+      }
+    }
+  }
+  // Both drivers ran: the grain's lower side is all inline, its upper side
+  // forks every non-chain plan, and the forked runs both pruned through SIP
+  // and retired states.
+  EXPECT_GT(forked, 0);
+  EXPECT_GT(inline_runs, forked);
+  EXPECT_GT(forked_sip_pruned, 0);
+  EXPECT_GT(forked_retired, 0);
 }
 
 // --- Eager validation (satellite): malformed statements must fail up front

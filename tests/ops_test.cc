@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
-
-#include "exec/exec_context.h"
 #include "schema/parse.h"
 #include "util/rng.h"
 
@@ -196,65 +192,6 @@ TEST_F(OpsTest, SemijoinOfCanonicalInputStaysCanonical) {
   EXPECT_TRUE(sj.IsCanonical());
   EXPECT_EQ(sj.Row(0), (std::vector<Value>{1, 2}));
   EXPECT_EQ(sj.Row(1), (std::vector<Value>{5, 6}));
-}
-
-// --- Zone-map disjointness in Semijoin: provably non-overlapping key
-// ranges skip the whole probe pass, bit-identically to the full path's
-// empty result. ---
-
-class ZoneMapOpsTest : public OpsTest {
- protected:
-  // The same rows as `rel`, rebuilt through AppendRows without a
-  // canonicalize — zones invalid, so Semijoin must take the full path.
-  static Relation WithoutZones(const Relation& rel) {
-    Relation copy(rel.Schema());
-    const int64_t at = copy.AppendRows(rel.NumRows());
-    for (int c = 0; c < rel.Arity(); ++c) {
-      std::copy(rel.ColData(c), rel.ColData(c) + rel.NumRows(),
-                copy.ColData(c) + at);
-    }
-    return copy;
-  }
-};
-
-TEST_F(ZoneMapOpsTest, SemijoinSkipsDisjointKeyRanges) {
-  Relation r = Make("ab", {{1, 10}, {2, 11}, {3, 12}});
-  Relation s = Make("bc", {{100, 0}, {200, 1}});  // b-ranges cannot overlap
-  OpExecOpts opts;
-  opts.counters = std::make_shared<exec::QueryCounters>();
-  std::atomic<int64_t>& skips = opts.counters->zone_map_skips;
-  Relation out = Semijoin(r, s, opts);
-  EXPECT_EQ(out.NumRows(), 0);
-  EXPECT_EQ(skips.load(), r.NumRows());
-  // Bit-identical to the full (un-zone-mapped) probe over the same data.
-  Relation full = Semijoin(WithoutZones(r), WithoutZones(s), opts);
-  EXPECT_EQ(skips.load(), r.NumRows());  // the full path never skipped
-  EXPECT_TRUE(out.IdenticalTo(full));
-}
-
-TEST_F(ZoneMapOpsTest, SemijoinKeepsOverlappingRanges) {
-  Relation r = Make("ab", {{1, 10}, {5, 11}, {9, 12}});
-  Relation s = Make("bc", {{11, 0}, {40, 1}});  // b-ranges overlap: no skip
-  OpExecOpts opts;
-  opts.counters = std::make_shared<exec::QueryCounters>();
-  std::atomic<int64_t>& skips = opts.counters->zone_map_skips;
-  Relation out = Semijoin(r, s, opts);
-  EXPECT_EQ(skips.load(), 0);
-  ASSERT_EQ(out.NumRows(), 1);
-  EXPECT_EQ(out.Row(0), (std::vector<Value>{5, 11}));
-}
-
-TEST_F(ZoneMapOpsTest, InvalidZonesNeverSkip) {
-  // Disjoint data, but AppendRows-built inputs have no current zone maps —
-  // the skip must not fire on stale metadata.
-  Relation r = Make("ab", {{1, 10}, {2, 11}});
-  Relation s = Make("bc", {{100, 0}});
-  OpExecOpts opts;
-  opts.counters = std::make_shared<exec::QueryCounters>();
-  std::atomic<int64_t>& skips = opts.counters->zone_map_skips;
-  Relation out = Semijoin(WithoutZones(r), WithoutZones(s), opts);
-  EXPECT_EQ(skips.load(), 0);
-  EXPECT_EQ(out.NumRows(), 0);
 }
 
 TEST_F(OpsTest, JoinAllAssociativity) {

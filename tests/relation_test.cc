@@ -221,63 +221,5 @@ TEST_F(RelationTest, FormatShowsSchemaAndRows) {
   EXPECT_NE(s.find('7'), std::string::npos);
 }
 
-// --- Per-column zone maps (ZoneRange): maintained by AddRow, invalidated
-// by AppendRows (writes happen behind the relation's back), rebuilt by
-// Canonicalize. ---
-
-TEST_F(RelationTest, ZoneMapUnknownOnEmptyRelation) {
-  Relation r(ParseAttrSet(catalog_, "ab"));
-  Value lo, hi;
-  EXPECT_FALSE(r.ZoneRange(0, &lo, &hi));
-}
-
-TEST_F(RelationTest, ZoneMapTracksAddRow) {
-  Relation r(ParseAttrSet(catalog_, "ab"));
-  r.AddRow({5, -2});
-  Value lo, hi;
-  ASSERT_TRUE(r.ZoneRange(0, &lo, &hi));
-  EXPECT_EQ(lo, 5);
-  EXPECT_EQ(hi, 5);
-  r.AddRow({3, 9});
-  r.AddRow({7, 0});
-  ASSERT_TRUE(r.ZoneRange(0, &lo, &hi));
-  EXPECT_EQ(lo, 3);
-  EXPECT_EQ(hi, 7);
-  ASSERT_TRUE(r.ZoneRange(1, &lo, &hi));
-  EXPECT_EQ(lo, -2);
-  EXPECT_EQ(hi, 9);
-}
-
-TEST_F(RelationTest, ZoneMapInvalidatedByAppendRowsRebuiltByCanonicalize) {
-  Relation r(ParseAttrSet(catalog_, "ab"));
-  r.AddRow({1, 1});
-  const int64_t at = r.AppendRows(2);
-  r.ColData(0)[at] = 10;
-  r.ColData(1)[at] = -5;
-  r.ColData(0)[at + 1] = 4;
-  r.ColData(1)[at + 1] = 2;
-  Value lo, hi;
-  EXPECT_FALSE(r.ZoneRange(0, &lo, &hi));  // arenas mutated behind our back
-  r.Canonicalize();
-  ASSERT_TRUE(r.ZoneRange(0, &lo, &hi));
-  EXPECT_EQ(lo, 1);
-  EXPECT_EQ(hi, 10);
-  ASSERT_TRUE(r.ZoneRange(1, &lo, &hi));
-  EXPECT_EQ(lo, -5);
-  EXPECT_EQ(hi, 2);
-}
-
-TEST_F(RelationTest, ZoneMapSurvivesCanonicalizeOfAddRowData) {
-  Relation r(ParseAttrSet(catalog_, "a"));
-  r.AddRow({9});
-  r.AddRow({2});
-  r.AddRow({9});  // duplicate: dropped by canonicalization, range unchanged
-  r.Canonicalize();
-  Value lo, hi;
-  ASSERT_TRUE(r.ZoneRange(0, &lo, &hi));
-  EXPECT_EQ(lo, 2);
-  EXPECT_EQ(hi, 9);
-}
-
 }  // namespace
 }  // namespace gyo

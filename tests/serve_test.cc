@@ -272,6 +272,41 @@ TEST(ServeTest, ExecutedQueriesRetireConsumedStates) {
   }
 }
 
+// The statement-level fork rule on the serve path: a star query whose
+// relations sit under the statement grain runs inline on its admitted
+// thread, one at the grain runs as a task graph (its plan is not a chain),
+// and both answer exactly what exec::Run answers serially.
+TEST(ServeTest, QueriesBelowAndAboveTheStatementGrainMatchRun) {
+  exec::ExecutorPool pool(PoolOptions(2, 2));
+  ServerOptions options;
+  options.pool = &pool;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  const int grain = static_cast<int>(exec::kMinStatementForkRows);
+  for (int rows : {grain / 32, grain}) {
+    SCOPED_TRACE(rows);
+    // Key-like values: every relation holds exactly `rows` rows.
+    const Spec spec{"ab,ac,ad,ae", "be", rows, 1 << 20};
+    QueryRequest request = MakeRequest(spec, 800);
+    request.want_plan = true;
+    QueryResponse response;
+    ASSERT_EQ(client.Query(request, &response), Client::Outcome::kOk);
+    ASSERT_TRUE(response.has_plan);
+    EXPECT_EQ(response.plan.strategy, Strategy::kYannakakis);
+    EXPECT_LT(response.plan.critical_path, response.plan.num_statements);
+    EXPECT_EQ(exec::ForkStatementGraph(pool.threads(),
+                                       response.plan.num_statements,
+                                       response.plan.critical_path, rows, 0),
+              rows == grain);
+    EXPECT_EQ(response.query_stats.tasks, response.plan.num_statements);
+    EXPECT_TRUE(response.result.IdenticalTo(SerialReference(spec, 800)));
+  }
+}
+
 // A result-cache replay executes nothing, so it retires nothing; the STATUS
 // totals carry exactly the executed replies' retirements.
 TEST(ServeTest, ResultCacheReplayRetiresNothing) {
