@@ -1,6 +1,7 @@
 // P6 / E7 / E14 / E15 — query evaluation strategies on UR databases:
 //   * full join then project (§4 baseline),
-//   * CC-pruned join (§6: drop irrelevant relations / useless columns),
+//   * CC-pruned join (§6: drop irrelevant relations / useless columns, then
+//     join in attribute-elimination order),
 //   * Yannakakis semijoin evaluation (tree schemas),
 //   * tree-projection evaluation (cyclic schemas, Thms 6.1/6.2).
 // The expected shape: CC-pruning wins when irrelevant appendages exist;
@@ -147,6 +148,20 @@ void BM_Ring8_FullJoin(benchmark::State& state) {
   ReportStats(state, p, states);
 }
 BENCHMARK(BM_Ring8_FullJoin)->RangeMultiplier(4)->Range(16, 256);
+
+void BM_Ring8_CCPruned(benchmark::State& state) {
+  Catalog catalog;
+  DatabaseSchema d = fixtures::Sec32D(catalog);
+  AttrSet x = d[0].Union(d[4]);
+  Program p = CCPrunedProgram(d, x);
+  std::vector<Relation> states =
+      MakeUR(d, static_cast<int>(state.range(0)), 19);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.Run(states));
+  }
+  ReportStats(state, p, states);
+}
+BENCHMARK(BM_Ring8_CCPruned)->RangeMultiplier(4)->Range(16, 256);
 
 void BM_Ring8_TreeProjection(benchmark::State& state) {
   Catalog catalog;

@@ -33,6 +33,7 @@ int Usage(const char* argv0) {
       "  --domain N      attribute domain size (default 30)\n"
       "  --seed N        RNG seed (default 1)\n"
       "  --strategy S    auto | full_join | cc_pruned | yannakakis\n"
+      "                  cc_pruned and cyclic auto: exact on UR states only\n"
       "  --deadline-ms N admission deadline (0 = server default)\n"
       "  --plan          print plan diagnostics\n",
       argv0, argv0);

@@ -1,6 +1,7 @@
 #include "rel/solver.h"
 
-#include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "gyo/qual_graph.h"
@@ -90,6 +91,39 @@ void AppendReduceAndJoin(Program& p, const QualGraph& tree,
   if (!(acc_schema == x)) p.AddProject(acc, x);
 }
 
+// A relation being joined: its program id, its physical schema, and the
+// attributes of that schema still live in it (the CC-pruned elimination
+// order's bookkeeping; a tree-projection host keeps them all).
+struct LiveRelation {
+  int id;
+  AttrSet schema;
+  AttrSet live;
+};
+
+// Joins `group` into one relation: starts from its first member, then takes
+// next the member sharing the most attributes with the join so far (the
+// earliest on ties).
+LiveRelation JoinMostSharedFirst(Program& p, std::vector<LiveRelation> group) {
+  LiveRelation acc = std::move(group.front());
+  group.erase(group.begin());
+  while (!group.empty()) {
+    size_t pick = 0;
+    int most = -1;
+    for (size_t i = 0; i < group.size(); ++i) {
+      const int shared = group[i].schema.Intersect(acc.schema).Size();
+      if (shared > most) {
+        most = shared;
+        pick = i;
+      }
+    }
+    acc.id = p.AddJoin(acc.id, group[pick].id);
+    acc.schema.UnionWith(group[pick].schema);
+    acc.live.UnionWith(group[pick].live);
+    group.erase(group.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  return acc;
+}
+
 }  // namespace
 
 Program FullJoinProgram(const DatabaseSchema& d, const AttrSet& x) {
@@ -105,23 +139,66 @@ Program CCPrunedProgram(const DatabaseSchema& d, const AttrSet& x) {
   GYO_CHECK(!d.Empty());
   CanonicalResult cc = CanonicalConnection(d, x);
   Program p(d.NumRelations());
-  std::vector<int> ids;
+  std::vector<LiveRelation> rels;
   for (int i = 0; i < cc.schema.NumRelations(); ++i) {
-    int src = cc.sources[static_cast<size_t>(i)];
-    if (cc.schema[i] == d[src]) {
-      ids.push_back(src);
-    } else {
-      ids.push_back(p.AddProject(src, cc.schema[i]));
+    const int src = cc.sources[static_cast<size_t>(i)];
+    const int id =
+        cc.schema[i] == d[src] ? src : p.AddProject(src, cc.schema[i]);
+    rels.push_back({id, cc.schema[i], cc.schema[i]});
+  }
+  GYO_CHECK(!rels.empty());
+  while (true) {
+    AttrSet outside_x;
+    for (const LiveRelation& r : rels) outside_x.UnionWith(r.live);
+    outside_x.MinusWith(x);
+    if (outside_x.Empty()) break;
+    // The attribute whose live relations span the fewest live attributes;
+    // ties go to fewer relations, then to the lower id (ForEach ascends).
+    AttrId pick = -1;
+    int pick_scope = 0;
+    int pick_count = 0;
+    outside_x.ForEach([&](AttrId a) {
+      AttrSet scope;
+      int count = 0;
+      for (const LiveRelation& r : rels) {
+        if (!r.live.Contains(a)) continue;
+        scope.UnionWith(r.live);
+        ++count;
+      }
+      const int size = scope.Size();
+      if (pick < 0 || size < pick_scope ||
+          (size == pick_scope && count < pick_count)) {
+        pick = a;
+        pick_scope = size;
+        pick_count = count;
+      }
+    });
+    // Join the relations holding it; the result takes the first one's place.
+    std::vector<LiveRelation> group;
+    std::vector<LiveRelation> rest;
+    size_t slot = 0;
+    for (size_t i = 0; i < rels.size(); ++i) {
+      if (rels[i].live.Contains(pick)) {
+        if (group.empty()) slot = rest.size();
+        group.push_back(std::move(rels[i]));
+      } else {
+        rest.push_back(std::move(rels[i]));
+      }
     }
+    LiveRelation joined = JoinMostSharedFirst(p, std::move(group));
+    // An attribute outside X that no other relation holds dies: it stays in
+    // the physical schema but can never be a join key again.
+    AttrSet keep = x;
+    for (const LiveRelation& r : rest) keep.UnionWith(r.live);
+    joined.live.IntersectWith(keep);
+    rest.insert(rest.begin() + static_cast<std::ptrdiff_t>(slot),
+                std::move(joined));
+    rels = std::move(rest);
   }
-  GYO_CHECK(!ids.empty());
-  int acc = ids[0];
-  AttrSet acc_schema = cc.schema[0];
-  for (size_t i = 1; i < ids.size(); ++i) {
-    acc = p.AddJoin(acc, ids[i]);
-    acc_schema.UnionWith(cc.schema[static_cast<int>(i)]);
+  const LiveRelation result = JoinMostSharedFirst(p, std::move(rels));
+  if (result.schema != x || p.NumStatements() == 0) {
+    p.AddProject(result.id, x);
   }
-  if (!(acc_schema == x) || p.NumStatements() == 0) p.AddProject(acc, x);
   return p;
 }
 
@@ -179,76 +256,39 @@ std::optional<Program> TreeProjectionProgram(const DatabaseSchema& d,
   if (!tree.has_value()) return std::nullopt;
 
   const int nb = bags.NumRelations();
-  // Host lists: greedily cover each bag's attributes with base relations.
-  std::vector<std::vector<int>> hosts(static_cast<size_t>(nb));
+  Program p(d.NumRelations());
+  std::vector<int> bag_ids(static_cast<size_t>(nb));
+  std::vector<AttrSet> bag_schemas(static_cast<size_t>(nb));
   for (int v = 0; v < nb; ++v) {
+    // Hosts: every base relation inside the bag (so each base relation is
+    // joined into a bag containing it), then, for each bag attribute still
+    // uncovered, the first base relation holding it projected onto its part
+    // inside the bag. No host join ever leaves its bag.
+    std::vector<LiveRelation> hosts;
     AttrSet covered;
+    for (int r = 0; r < d.NumRelations(); ++r) {
+      if (!d[r].IsSubsetOf(bags[v])) continue;
+      hosts.push_back({r, d[r], d[r]});
+      covered.UnionWith(d[r]);
+    }
     bags[v].ForEach([&](AttrId a) {
       if (covered.Contains(a)) return;
       for (int r = 0; r < d.NumRelations(); ++r) {
         if (d[r].Contains(a)) {
-          hosts[static_cast<size_t>(v)].push_back(r);
-          covered.UnionWith(d[r]);
+          const AttrSet part = d[r].Intersect(bags[v]);
+          hosts.push_back({p.AddProject(r, part), part, part});
+          covered.UnionWith(part);
           return;
         }
       }
       GYO_CHECK_MSG(false, "bag attribute %d not in any base relation", a);
     });
-  }
-  // Fold every base relation into the host join of a bag containing it, so
-  // its constraint is enforced somewhere.
-  for (int r = 0; r < d.NumRelations(); ++r) {
-    int bag = -1;
-    for (int v = 0; v < nb && bag < 0; ++v) {
-      if (d[r].IsSubsetOf(bags[v])) bag = v;
-    }
-    GYO_CHECK(bag >= 0);
-    auto& h = hosts[static_cast<size_t>(bag)];
-    if (std::find(h.begin(), h.end(), r) == h.end()) h.push_back(r);
-  }
-
-  Program p(d.NumRelations());
-  std::vector<int> bag_ids(static_cast<size_t>(nb));
-  std::vector<AttrSet> bag_schemas(static_cast<size_t>(nb));
-  for (int v = 0; v < nb; ++v) {
-    std::vector<int> h = hosts[static_cast<size_t>(v)];
-    GYO_CHECK(!h.empty());
-    // Join connected hosts first so no avoidable Cartesian product appears
-    // inside a bag.
-    std::vector<int> order = {h[0]};
-    std::vector<bool> used(h.size(), false);
-    used[0] = true;
-    AttrSet reach = d[h[0]];
-    while (order.size() < h.size()) {
-      size_t pick = h.size();
-      for (size_t i = 0; i < h.size(); ++i) {
-        if (!used[i] && d[h[i]].Intersects(reach)) {
-          pick = i;
-          break;
-        }
-      }
-      if (pick == h.size()) {
-        for (size_t i = 0; i < h.size(); ++i) {
-          if (!used[i]) {
-            pick = i;
-            break;
-          }
-        }
-      }
-      used[pick] = true;
-      order.push_back(h[pick]);
-      reach.UnionWith(d[h[pick]]);
-    }
-    int acc = order[0];
-    AttrSet acc_schema = d[order[0]];
-    for (size_t i = 1; i < order.size(); ++i) {
-      acc = p.AddJoin(acc, order[i]);
-      acc_schema.UnionWith(d[order[i]]);
-    }
-    if (!(acc_schema == bags[v])) {
-      acc = p.AddProject(acc, bags[v]);
-    }
-    bag_ids[static_cast<size_t>(v)] = acc;
+    GYO_CHECK(!hosts.empty());
+    // Joining the most-shared host next avoids any Cartesian product inside
+    // a bag that its hosts' connectivity allows.
+    const LiveRelation host = JoinMostSharedFirst(p, std::move(hosts));
+    GYO_DCHECK(host.schema == bags[v]);
+    bag_ids[static_cast<size_t>(v)] = host.id;
     bag_schemas[static_cast<size_t>(v)] = bags[v];
   }
   AppendReduceAndJoin(p, *tree, bag_ids, bag_schemas, x,

@@ -967,13 +967,19 @@ TEST(StatementForkTest, RuleFlipsAtEveryEdge) {
 }
 
 TEST(StatementForkTest, ChainPlansAreChains) {
-  // The chain clause on the plans the served workloads run: a CC-pruned
-  // ring join is a chain of joins ending in its projection, while the
-  // Yannakakis program of an 8-relation path has independent semijoins.
+  // The chain clause: a left-deep full join of the 6-ring is a chain of
+  // joins ending in its projection. The plans the served workloads run are
+  // not chains: the CC-pruned ring joins two halves that meet on the
+  // target, and the Yannakakis program of an 8-relation path has
+  // independent semijoins.
+  const Program chain = FullJoinProgram(Aring(6), AttrSet{0, 3});
+  const exec::PhysicalPlan chain_plan = exec::PhysicalPlan::Compile(chain);
+  EXPECT_EQ(chain.NumStatements(), 6);
+  EXPECT_EQ(chain_plan.CriticalPathLength(), 6);
   const Program ring = CCPrunedProgram(Aring(6), AttrSet{0, 3});
   const exec::PhysicalPlan ring_plan = exec::PhysicalPlan::Compile(ring);
   EXPECT_EQ(ring.NumStatements(), 6);
-  EXPECT_EQ(ring_plan.CriticalPathLength(), 6);
+  EXPECT_LT(ring_plan.CriticalPathLength(), ring.NumStatements());
   const Program path = *YannakakisProgram(PathSchema(9), AttrSet{0, 8});
   const exec::PhysicalPlan path_plan = exec::PhysicalPlan::Compile(path);
   EXPECT_EQ(path.NumStatements(), 28);
